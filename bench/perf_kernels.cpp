@@ -147,38 +147,27 @@ void BM_SpiceVtcSweepWarmStart(benchmark::State& state) {
 }
 BENCHMARK(BM_SpiceVtcSweepWarmStart);
 
-// ---- Newton-solve scaling: dense LU vs sparse symbolic-reuse LU ----
+// ---- Newton-solve scaling on the sparse symbolic-reuse LU ----
 //
 // The workload is a diode-loaded resistor ladder (make_diode_ladder): a
 // nonlinear circuit whose Jacobian has the tridiagonal-plus-diagonal
 // pattern typical of device arrays.  Each benchmark iteration runs a full
-// cold-start operating point on a persistent workspace, so the sparse
-// backend pays its symbolic analysis once on the first iteration and pure
-// numeric refactorization afterwards — exactly the sweep/transient duty
-// cycle.  state.range(0) is the MNA unknown count.
+// cold-start operating point on a persistent workspace, so the LU pays its
+// symbolic analysis once on the first iteration and pure numeric
+// refactorization afterwards — exactly the sweep/transient duty cycle.
+// state.range(0) is the MNA unknown count.  The CI smoke job gates the
+// per-unknown cost of the largest size against the smallest.
 
-void newton_scaling_bench(benchmark::State& state, spice::LinearBackend be) {
+void BM_NewtonSolveSparse(benchmark::State& state) {
   const int unknowns = static_cast<int>(state.range(0));
   auto bench = circuit::make_diode_ladder(unknowns - 2, 100.0, 1e-14, 1.0);
-  spice::SolverOptions opts;
-  opts.backend = be;
+  const spice::SolverOptions opts;
   spice::NewtonWorkspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         spice::operating_point(*bench.ckt, opts, nullptr, &ws));
   }
   state.SetComplexityN(unknowns);
-}
-
-void BM_NewtonSolveDense(benchmark::State& state) {
-  newton_scaling_bench(state, spice::LinearBackend::kDense);
-}
-BENCHMARK(BM_NewtonSolveDense)
-    ->Arg(16)->Arg(64)->Arg(256)->Arg(1024)
-    ->Unit(benchmark::kMicrosecond)->Complexity();
-
-void BM_NewtonSolveSparse(benchmark::State& state) {
-  newton_scaling_bench(state, spice::LinearBackend::kSparse);
 }
 BENCHMARK(BM_NewtonSolveSparse)
     ->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
@@ -204,8 +193,7 @@ void BM_NewtonSolveSparseFetGrid(benchmark::State& state) {
       ckt.add_fet("m" + drain, drain, gate, "0", model);
     }
   }
-  spice::SolverOptions opts;
-  opts.backend = spice::LinearBackend::kSparse;
+  const spice::SolverOptions opts;
   spice::NewtonWorkspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(spice::operating_point(ckt, opts, nullptr, &ws));
@@ -367,40 +355,27 @@ void BM_TransientSramWriteAdaptive(benchmark::State& state) {
 }
 BENCHMARK(BM_TransientSramWriteAdaptive)->Unit(benchmark::kMillisecond);
 
-// ---- small-signal AC scaling: dense complex LU vs the sparse-complex
-// engine with one symbolic analysis amortized across the whole sweep ----
+// ---- small-signal AC scaling on the sparse-complex engine, one symbolic
+// analysis amortized across the whole sweep ----
 //
 // Workload: an RC-ladder AC sweep (7 log-spaced points over 3 decades) at
-// state.range(0) MNA unknowns.  The dense path factors an n x n complex
-// matrix from scratch at every frequency; the sparse path memcpy-restores
-// the captured G image, rescales the jωC slots and numerically refactors
-// on the pattern analyzed once per sweep.  The CI smoke job asserts
-// sparse >= 10x dense at 1024 unknowns.
+// state.range(0) MNA unknowns.  Each point memcpy-restores the captured G
+// image, rescales the jωC slots and numerically refactors on the pattern
+// analyzed once per sweep.  The CI smoke job gates the per-unknown cost of
+// the largest size against the smallest.
 
-void ac_scaling_bench(benchmark::State& state, spice::LinearBackend be) {
+void BM_AcSweepSparse(benchmark::State& state) {
   const int unknowns = static_cast<int>(state.range(0));
   auto bench = circuit::make_rc_ladder(unknowns - 2, 1e3, 1e-15, 1.0);
   spice::AcOptions opt;
   opt.f_start_hz = 1e6;
   opt.f_stop_hz = 1e9;
   opt.points_per_decade = 2;  // 7 points: a realistic pole-hunt sweep
-  opt.dc.backend = be;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         spice::ac_sweep(*bench.ckt, *bench.vin, {bench.out_node}, opt));
   }
   state.SetComplexityN(unknowns);
-}
-
-void BM_AcSweepDense(benchmark::State& state) {
-  ac_scaling_bench(state, spice::LinearBackend::kDense);
-}
-BENCHMARK(BM_AcSweepDense)
-    ->Arg(64)->Arg(256)->Arg(1024)
-    ->Unit(benchmark::kMicrosecond)->Complexity();
-
-void BM_AcSweepSparse(benchmark::State& state) {
-  ac_scaling_bench(state, spice::LinearBackend::kSparse);
 }
 BENCHMARK(BM_AcSweepSparse)
     ->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
@@ -410,10 +385,10 @@ BENCHMARK(BM_AcSweepSparse)
 //
 // A 51- vs 501-stage ring oscillator and an SRAM column array, all through
 // the adaptive engine with the quiescent-device bypass, the PI step
-// controller and the sparse backend.  Per-stage cost must stay ~flat from
-// 51 to 501 stages (the run_bench.sh summary records the ratio and the CI
-// smoke job gates on it): a superlinear solve path, a lost pattern reuse
-// or an accidental dense fallback shows up as a blown ratio.
+// controller and the sparse LU.  Per-stage cost must stay ~flat from 51 to
+// 501 stages (the run_bench.sh summary records the ratio and the CI smoke
+// job gates on it): a superlinear solve path, a lost pattern reuse or
+// dense fill shows up as a blown ratio.
 
 void BM_TransientRingScaleAdaptive(benchmark::State& state) {
   static const device::DeviceModelPtr tab = [] {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Run the perf-kernel microbenchmarks and record the results (plus the
 # headline speedups: tabulated-vs-direct VTC sweep, parallel Monte Carlo,
-# the dense-vs-sparse Newton-solve and AC-sweep scaling families, the
-# large-array O(N) transient ratios, and the fault-injected ensemble yield
-# sweep) in BENCH_perf.json at the repo root.
+# the O(N) per-unknown cost ratios of the Newton-solve, AC-sweep and
+# large-array transient scaling families, and the fault-injected ensemble
+# yield sweep) in BENCH_perf.json at the repo root.
 # Usage:
 #
 #   bench/run_bench.sh [build_dir] [extra google-benchmark args...]
@@ -20,8 +20,8 @@
 #    bench-smoke job); on a machine where only a distro debug build is
 #    available, CARBON_BENCH_ALLOW_DEBUG_BENCHLIB=1 records anyway and
 #    stamps the override into the summary (the fixed-vs-adaptive and
-#    dense-vs-sparse *ratios* are measured inside one binary and stay
-#    valid; absolute times should not be trusted).
+#    scaling *ratios* are measured inside one binary and stay valid;
+#    absolute times should not be trusted).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -109,48 +109,13 @@ if serial and par:
     summary["placement_mc_parallel_ns"] = par
     summary["placement_mc_speedup"] = serial / par
 
-# Newton-solve scaling family: per-size times for both backends plus the
-# headline sparse-vs-dense speedup at the largest size the dense backend
-# still runs (>= 1024 unknowns in the default family).
-newton = {}
-for name, b in times.items():
-    for backend in ("Dense", "Sparse"):
-        prefix = f"BM_NewtonSolve{backend}/"
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            n = int(name[len(prefix):])
-            newton.setdefault(n, {})[backend.lower()] = real_time_ns(name)
-if newton:
-    summary["newton_solve_ns"] = {str(n): d for n, d in sorted(newton.items())}
-    both = [n for n, d in newton.items() if "dense" in d and "sparse" in d]
-    if both:
-        n_big = max(both)
-        summary["newton_sparse_speedup_at"] = n_big
-        summary["newton_sparse_speedup"] = (
-            newton[n_big]["dense"] / newton[n_big]["sparse"])
-
-# Small-signal AC scaling family: per-size sweep times for both complex
-# backends plus the headline sparse-vs-dense speedup at the largest size
-# the dense backend still runs (>= 1024 unknowns in the default family).
-ac = {}
-for name, b in times.items():
-    for backend in ("Dense", "Sparse"):
-        prefix = f"BM_AcSweep{backend}/"
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            n = int(name[len(prefix):])
-            ac.setdefault(n, {})[backend.lower()] = real_time_ns(name)
-if ac:
-    summary["ac_sweep_ns"] = {str(n): d for n, d in sorted(ac.items())}
-    both = [n for n, d in ac.items() if "dense" in d and "sparse" in d]
-    if both:
-        n_big = max(both)
-        summary["ac_sparse_speedup_at"] = n_big
-        summary["ac_sparse_speedup"] = (
-            ac[n_big]["dense"] / ac[n_big]["sparse"])
-
-# Large-array adaptive transients: per-stage/per-cell cost ratio between
-# the small and the large configuration guards O(N) end-to-end scaling
-# through the adaptive engine (1.0 = perfectly linear).
-for family, key in (("BM_TransientRingScaleAdaptive", "transient_ring_scale"),
+# Scaling families: the per-unknown (per-stage, per-cell) cost ratio
+# between the largest and the smallest size guards O(N) scaling (1.0 =
+# perfectly linear) of the sparse Newton solve, the sparse-complex AC
+# sweep, and the large-array adaptive transients.
+for family, key in (("BM_NewtonSolveSparse", "newton_solve"),
+                    ("BM_AcSweepSparse", "ac_sweep"),
+                    ("BM_TransientRingScaleAdaptive", "transient_ring_scale"),
                     ("BM_TransientSramColumnAdaptive",
                      "transient_sram_column")):
     sizes = {}

@@ -44,8 +44,8 @@ int main() {
   ckt.add_capacitor("cl", "d", "0", 100e-15);
   ckt.add_fet("m1", "d", "g", "0", model, 20.0);
 
-  // 3) AC sweep on the small-signal engine (sparse/dense auto-selected;
-  //    symbolic analysis amortized across the whole sweep).
+  // 3) AC sweep on the small-signal engine (complex sparse LU, symbolic
+  //    analysis amortized across the whole sweep).
   spice::AcOptions ac;
   ac.f_start_hz = 1e4;
   ac.f_stop_hz = 1e11;

@@ -1,10 +1,10 @@
 #pragma once
 
 /// @file linalg.h
-/// Dense linear algebra for the MNA circuit solver: a row-major matrix type
-/// and LU factorization with partial pivoting.  The dense path is the right
-/// tool up to a few dozen unknowns; above the SolverOptions threshold the
-/// solver switches to the sparse engine in phys/sparse.h.
+/// Dense linear algebra: a row-major matrix type (SparseMatrix::to_dense)
+/// and LU factorization with partial pivoting — the dense reference solve
+/// that tests check the circuit solver's sparse engine (phys/sparse.h)
+/// against — plus vector norms and a tridiagonal solve.
 
 #include <vector>
 
@@ -21,11 +21,6 @@ class Matrix {
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
-
-  /// Raw row-major storage (rows*cols doubles); stable until the matrix is
-  /// resized.  The slot-stamping assembler writes through this.
-  double* data() { return data_.data(); }
-  const double* data() const { return data_.data(); }
 
   /// Set every entry to @p value.
   void fill(double value);
@@ -48,7 +43,7 @@ class Matrix {
 /// workspace: a default-constructed instance can be refactored repeatedly
 /// with factor(), which reuses the internal pivot/LU storage — after the
 /// first call on a given size, refactor + solve_in_place perform no heap
-/// allocation.  This is what the SPICE Newton loop runs on.
+/// allocation.
 class LuFactorization {
  public:
   /// Empty workspace: call factor() before solving.
@@ -71,8 +66,7 @@ class LuFactorization {
 
   /// Solve A x = b with b supplied (and x returned) in @p bx — no
   /// allocation (an internal scratch buffer is reused, so concurrent
-  /// solve_in_place calls on one instance are NOT safe; each Newton
-  /// workspace owns its factorization).
+  /// solve_in_place calls on one instance are NOT safe).
   void solve_in_place(std::vector<double>& bx) const;
 
   /// Reciprocal pivot-growth estimate: min|pivot| / max|A| (0 = singular).

@@ -13,110 +13,50 @@ ComplexMatrix::ComplexMatrix(int rows, int cols, Complex fill)
   CARBON_REQUIRE(rows >= 0 && cols >= 0, "matrix dims must be non-negative");
 }
 
-void ComplexMatrix::fill(Complex value) {
-  std::fill(data_.begin(), data_.end(), value);
-}
-
 double ComplexMatrix::max_abs() const {
   double m = 0.0;
   for (const Complex& v : data_) m = std::max(m, std::abs(v));
   return m;
 }
 
-void ComplexLuFactorization::factor(const ComplexMatrix& a) {
+std::vector<Complex> solve_dense_complex(ComplexMatrix a,
+                                         std::vector<Complex> b) {
   const int n = a.rows();
   CARBON_REQUIRE(n == a.cols(), "LU requires a square matrix");
-  factored_ = false;
-  lu_ = a;  // reuses lu_'s buffer when the size matches
-  perm_.resize(n);
-  for (int i = 0; i < n; ++i) perm_[i] = i;
-  const double amax = std::max(lu_.max_abs(), 1e-300);
+  CARBON_REQUIRE(static_cast<int>(b.size()) == n, "rhs size mismatch");
+  const double amax = std::max(a.max_abs(), 1e-300);
 
   for (int k = 0; k < n; ++k) {
     int piv = k;
-    double best = std::abs(lu_(k, k));
+    double best = std::abs(a(k, k));
     for (int i = k + 1; i < n; ++i) {
-      const double v = std::abs(lu_(i, k));
+      const double v = std::abs(a(i, k));
       if (v > best) { best = v; piv = i; }
     }
-    // NaN compares false against every threshold — reject non-finite pivot
-    // candidates explicitly instead of letting them survive the search.
-    if (!std::isfinite(best)) {
-      throw SingularMatrixError(
-          SingularMatrixError::Kind::kNonFinite, perm_[piv], k,
-          "complex LU: non-finite value in pivot column " + std::to_string(k));
-    }
-    if (best <= amax * 1e-14) {
-      throw SingularMatrixError(
-          SingularMatrixError::Kind::kSingular, perm_[piv], k,
-          "complex LU: matrix is numerically singular at column " +
-              std::to_string(k));
+    // NaN compares false against every threshold, so a non-finite pivot
+    // column is rejected explicitly instead of surviving the search.
+    if (!std::isfinite(best) || best <= amax * 1e-14) {
+      throw ConvergenceError(
+          "complex LU: singular or non-finite pivot at column " +
+          std::to_string(k));
     }
     if (piv != k) {
-      for (int j = 0; j < n; ++j) std::swap(lu_(k, j), lu_(piv, j));
-      std::swap(perm_[k], perm_[piv]);
+      for (int j = 0; j < n; ++j) std::swap(a(k, j), a(piv, j));
+      std::swap(b[k], b[piv]);
     }
-    const Complex inv = 1.0 / lu_(k, k);
     for (int i = k + 1; i < n; ++i) {
-      const Complex factor = lu_(i, k) * inv;
-      lu_(i, k) = factor;
-      if (factor != Complex{}) {
-        for (int j = k + 1; j < n; ++j) lu_(i, j) -= factor * lu_(k, j);
-      }
+      const Complex factor = a(i, k) / a(k, k);
+      if (factor == Complex{}) continue;
+      for (int j = k + 1; j < n; ++j) a(i, j) -= factor * a(k, j);
+      b[i] -= factor * b[k];
     }
   }
-  factored_ = true;
-}
-
-void ComplexLuFactorization::solve_in_place(std::vector<Complex>& bx) const {
-  const int n = lu_.rows();
-  CARBON_REQUIRE(factored_, "complex LU: no factorization held");
-  CARBON_REQUIRE(static_cast<int>(bx.size()) == n, "rhs size mismatch");
-  scratch_.resize(n);
-  for (int i = 0; i < n; ++i) scratch_[i] = bx[perm_[i]];
-  bx.swap(scratch_);
-  for (int i = 1; i < n; ++i) {
-    Complex s = bx[i];
-    for (int j = 0; j < i; ++j) s -= lu_(i, j) * bx[j];
-    bx[i] = s;
-  }
   for (int i = n - 1; i >= 0; --i) {
-    Complex s = bx[i];
-    for (int j = i + 1; j < n; ++j) s -= lu_(i, j) * bx[j];
-    bx[i] = s / lu_(i, i);
+    Complex s = b[i];
+    for (int j = i + 1; j < n; ++j) s -= a(i, j) * b[j];
+    b[i] = s / a(i, i);
   }
-}
-
-void ComplexLuFactorization::solve_transpose_in_place(
-    std::vector<Complex>& bx) const {
-  const int n = lu_.rows();
-  CARBON_REQUIRE(factored_, "complex LU: no factorization held");
-  CARBON_REQUIRE(static_cast<int>(bx.size()) == n, "rhs size mismatch");
-  // factor() recorded A = Pᵀ L U, so Aᵀ x = b unwinds as a forward sweep
-  // with Uᵀ (lower triangular), a backward sweep with Lᵀ (unit upper
-  // triangular) and a final row-permutation scatter x = Pᵀ z.
-  for (int i = 0; i < n; ++i) {
-    Complex s = bx[i];
-    for (int j = 0; j < i; ++j) s -= lu_(j, i) * bx[j];
-    bx[i] = s / lu_(i, i);
-  }
-  for (int i = n - 1; i >= 0; --i) {
-    Complex s = bx[i];
-    for (int j = i + 1; j < n; ++j) s -= lu_(j, i) * bx[j];
-    bx[i] = s;
-  }
-  scratch_.resize(n);
-  for (int i = 0; i < n; ++i) scratch_[perm_[i]] = bx[i];
-  bx.swap(scratch_);
-}
-
-std::vector<Complex> solve_dense_complex(ComplexMatrix a,
-                                         const std::vector<Complex>& b) {
-  ComplexLuFactorization lu;
-  lu.factor(a);
-  std::vector<Complex> x = b;
-  lu.solve_in_place(x);
-  return x;
+  return b;
 }
 
 }  // namespace carbon::phys

@@ -1,8 +1,9 @@
 #pragma once
 
 /// @file linalg_complex.h
-/// Dense complex linear algebra for the AC (small-signal) circuit analysis:
-/// a complex matrix and LU solve, mirroring the real versions in linalg.h.
+/// Dense complex linear algebra: the Complex scalar of the small-signal
+/// engine, a dense complex matrix (SparseMatrixZ::to_dense) and the dense
+/// reference solve that tests check the complex sparse LU against.
 
 #include <complex>
 #include <vector>
@@ -23,12 +24,6 @@ class ComplexMatrix {
   int rows() const { return rows_; }
   int cols() const { return cols_; }
 
-  /// Raw row-major storage (rows*cols entries); stable until the matrix is
-  /// resized.  The AC slot-stamping assembler writes through this.
-  Complex* data() { return data_.data(); }
-  const Complex* data() const { return data_.data(); }
-
-  void fill(Complex value);
   double max_abs() const;
 
  private:
@@ -36,40 +31,10 @@ class ComplexMatrix {
   std::vector<Complex> data_;
 };
 
-/// Reusable complex LU workspace (partial pivoting), mirroring the real
-/// phys::LuFactorization: after the first factor() for a given size,
-/// refactor + solve_in_place perform no heap allocation.  The AC sweep
-/// keeps one instance across all frequency points.
-class ComplexLuFactorization {
- public:
-  ComplexLuFactorization() = default;
-
-  /// (Re)factor @p a, reusing existing storage when the size matches.
-  /// Throws SingularMatrixError (with the failing row/column) on numerical
-  /// singularity or a non-finite pivot column.
-  void factor(const ComplexMatrix& a);
-  bool factored() const { return factored_; }
-
-  /// Solve A x = b with b supplied (and x returned) in @p bx.  Reuses an
-  /// internal scratch buffer; not safe to call concurrently.
-  void solve_in_place(std::vector<Complex>& bx) const;
-
-  /// Solve Aᵀ x = b (plain transpose, NOT conjugated) from the same
-  /// factorization — the adjoint-network solve of the noise analysis,
-  /// mirroring phys::SparseLuT::solve_transpose_in_place on the dense
-  /// backend.
-  void solve_transpose_in_place(std::vector<Complex>& bx) const;
-
- private:
-  ComplexMatrix lu_;
-  std::vector<int> perm_;
-  mutable std::vector<Complex> scratch_;
-  bool factored_ = false;
-};
-
-/// Solve A x = b by LU with partial pivoting (A copied).  Throws
-/// ConvergenceError on numerical singularity.
+/// Solve A x = b by Gaussian elimination with partial pivoting (A and b
+/// copied).  Throws ConvergenceError on numerical singularity or a
+/// non-finite pivot column.
 std::vector<Complex> solve_dense_complex(ComplexMatrix a,
-                                         const std::vector<Complex>& b);
+                                         std::vector<Complex> b);
 
 }  // namespace carbon::phys

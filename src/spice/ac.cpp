@@ -41,7 +41,7 @@ phys::DataTable ac_sweep(Circuit& ckt, VSource& input,
   const std::vector<NodeId> probe_ids = resolve_probes(ckt, probes);
   AcSystem local;
   AcSystem& sys = opt.system ? *opt.system : local;
-  sys.build(ckt, dc_sol.x, opt.dc.backend, opt.dc.sparse_threshold);
+  sys.build(ckt, dc_sol.x);
 
   obs::Tracer* const tr = obs::tracer();
   obs::PhaseTimes* const ph = opt.dc.phases;

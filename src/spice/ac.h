@@ -6,12 +6,10 @@
 /// backs the RF discussion of the paper's Section II (gain roll-off, poles,
 /// the fmax collapse of non-saturating devices).
 ///
-/// Since PR 5 the sweep runs on spice::AcSystem (smallsignal.h): one
-/// value-capture pass per sweep, a complex sparse LU whose symbolic
-/// analysis is amortized across every frequency point, and dense/sparse
-/// auto-selection through AcOptions::dc.backend / sparse_threshold —
-/// mirroring the Newton engine.  The companion noise analysis lives in
-/// smallsignal.h as well.
+/// The sweep runs on spice::AcSystem (smallsignal.h): one value-capture
+/// pass per sweep and a complex sparse LU whose symbolic analysis is
+/// amortized across every frequency point, mirroring the Newton engine.
+/// The companion noise analysis lives in smallsignal.h as well.
 
 #include <string>
 #include <vector>

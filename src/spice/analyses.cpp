@@ -5,14 +5,13 @@
 #include <sstream>
 
 #include "obs/trace.h"
-#include "phys/linalg.h"
 #include "phys/require.h"
 #include "spice/integrator.h"
 
 namespace carbon::spice {
 
-void NewtonWorkspace::prepare(Circuit& ckt, const SolverOptions& opts) {
-  mna.build(ckt, opts.backend, opts.sparse_threshold);
+void NewtonWorkspace::prepare(Circuit& ckt) {
+  mna.build(ckt);
   x_new.resize(mna.size());
 }
 
@@ -52,6 +51,22 @@ std::string row_name(const Circuit& ckt, int row) {
   return "branch current #" + std::to_string(row - ckt.num_nodes());
 }
 
+/// The ladder's Newton step limit (see ConvergenceOrchestrator).  A circuit
+/// without a nonzero voltage source keeps opts.v_step_limit.
+double ladder_step_limit(const Circuit& ckt, const SolverOptions& opts,
+                         const StampContext& proto) {
+  double v_max = 0.0;
+  for (const auto& el : ckt.elements()) {
+    if (const auto* src = dynamic_cast<const VSource*>(el.get())) {
+      const double v = proto.transient ? src->wave().value(proto.time_s)
+                                       : src->wave().dc_value();
+      v_max = std::max(v_max, std::abs(v));
+    }
+  }
+  return v_max > 0.0 ? std::min(opts.v_step_limit, 0.5 * v_max)
+                     : opts.v_step_limit;
+}
+
 }  // namespace
 
 std::string SolveFailure::to_string() const {
@@ -79,8 +94,8 @@ SolveFailureError::SolveFailureError(SolveFailure failure)
 /// One full Newton–Raphson solve at fixed gmin / source scale, on a
 /// caller-provided workspace.  The loop body is allocation-free when diag
 /// is null: every element stamps through its pre-resolved slot table, the
-/// LU refactors on the recorded pattern (sparse) or into its existing
-/// storage (dense), and the solve happens in the x_new buffer.  With diag,
+/// LU refactors on the recorded pattern, and the solve happens in the
+/// x_new buffer.  With diag,
 /// one extra O(n) pass per iteration tracks update ratios and per-node
 /// sign flips for the failure report.
 bool newton_solve(Circuit& ckt, std::vector<double>& x,
@@ -91,7 +106,7 @@ bool newton_solve(Circuit& ckt, std::vector<double>& x,
   const int n = ckt.num_unknowns();
   const int n_nodes = ckt.num_nodes();
   try {
-    ws.prepare(ckt, opts);
+    ws.prepare(ckt);
   } catch (const NonFiniteEvalError& e) {
     // The pattern-capture pass evaluates every device once, so a model
     // that returns NaN from its very first eval throws HERE on the worker
@@ -268,8 +283,8 @@ bool ConvergenceOrchestrator::run_newton(std::vector<double>& x,
                                          double ptc_geq,
                                          const std::vector<double>* ptc_ref) {
   int iters = 0;
-  const bool ok = newton_solve(ckt_, x, opts_, gmin, source_scale, proto,
-                               ws_, &iters, &diag_, ptc_geq, ptc_ref);
+  const bool ok = newton_solve(ckt_, x, newton_opts_, gmin, source_scale,
+                               proto, ws_, &iters, &diag_, ptc_geq, ptc_ref);
   stats_.iterations = iters;  // the last solve is the one that counts
   return ok;
 }
@@ -496,6 +511,8 @@ NewtonStats ConvergenceOrchestrator::solve(std::vector<double>& x,
                                            const StampContext& proto) {
   stats_ = NewtonStats{};
   report_ = SolveFailure{};
+  newton_opts_ = opts_;
+  newton_opts_.v_step_limit = ladder_step_limit(ckt_, opts_, proto);
   const std::vector<double> x0 = x;
 
   // Stage 1: plain damped Newton from the initial point.
@@ -560,9 +577,6 @@ Solution operating_point(Circuit& ckt, const SolverOptions& opts,
   StampContext proto;  // DC: transient=false
   ConvergenceOrchestrator orch(ckt, opts, w);
   sol.stats = orch.solve(sol.x, proto);  // throws SolveFailureError
-  sol.iterations = sol.stats.iterations;
-  sol.used_gmin_stepping = sol.stats.used_gmin_stepping;
-  sol.used_source_stepping = sol.stats.used_source_stepping;
   return sol;
 }
 

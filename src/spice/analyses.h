@@ -15,7 +15,6 @@
 
 #include "obs/phase.h"
 #include "phys/cancel.h"
-#include "phys/linalg.h"
 #include "phys/require.h"
 #include "phys/table.h"
 #include "spice/circuit.h"
@@ -29,6 +28,8 @@ struct SolverOptions {
   double v_abstol = 1e-9;      ///< absolute voltage tolerance [V]
   double reltol = 1e-6;        ///< relative tolerance
   double v_step_limit = 0.4;   ///< max node-voltage change per NR step [V]
+                               ///< (the escalation ladder caps it at
+                               ///< half the largest source voltage)
   double gmin_initial = 1e-3;  ///< gmin stepping start [S]
   double gmin_final = 1e-12;   ///< residual gmin kept in the Jacobian [S]
   int gmin_steps = 10;         ///< nominal gmin ladder length (sets the
@@ -48,15 +49,6 @@ struct SolverOptions {
   double ptc_dt_growth = 10.0; ///< max pseudo-step growth per accepted step
   int ptc_max_steps = 500;     ///< pseudo-step budget before giving up
   int failure_report_nodes = 5;///< worst nodes listed in a SolveFailure
-
-  /// Linear-solver backend.  kAuto picks dense below sparse_threshold
-  /// unknowns and the sparse engine (symbolic-pattern reuse) above it;
-  /// kDense/kSparse force a backend (tests, benchmarks).
-  LinearBackend backend = LinearBackend::kAuto;
-  /// kAuto crossover in unknowns; benchmarked on the BM_NewtonSolve family
-  /// (bench/perf_kernels.cpp) — the sparse engine wins from a few dozen
-  /// unknowns up on circuit-typical sparsity.
-  int sparse_threshold = 48;
 
   /// Optional cooperative stop signal, polled at every Newton iteration
   /// and every transient step.  When it fires (explicit cancel() or an
@@ -146,10 +138,7 @@ struct NewtonStats {
 /// Converged solution plus metadata.
 struct Solution {
   std::vector<double> x;  ///< node voltages then branch currents
-  int iterations = 0;     ///< NR iterations of the final solve
-  NewtonStats stats;      ///< ladder accounting (stage, rungs, PTC steps)
-  bool used_gmin_stepping = false;
-  bool used_source_stepping = false;
+  NewtonStats stats;      ///< ladder accounting (stage, iterations, rungs)
 };
 
 /// Per-solve diagnostics newton_solve fills when given a non-null pointer:
@@ -174,7 +163,7 @@ struct NewtonDiag {
 };
 
 /// Persistent Newton scratch: the assembled MNA system (Jacobian pattern,
-/// slot tables, LU workspace — dense or sparse) plus the update vector,
+/// slot tables, sparse LU workspace) plus the update vector,
 /// built once per circuit topology and reused across iterations — and,
 /// when the caller keeps the workspace alive, across the points of a sweep
 /// or the steps of a transient.  After prepare() has run for a topology, a
@@ -184,9 +173,9 @@ struct NewtonWorkspace {
   MnaSystem mna;
   std::vector<double> x_new;
 
-  /// (Re)build the MNA system when the circuit topology or the requested
-  /// backend changed; cheap no-op otherwise.
-  void prepare(Circuit& ckt, const SolverOptions& opts);
+  /// (Re)build the MNA system when the circuit topology changed; cheap
+  /// no-op otherwise.
+  void prepare(Circuit& ckt);
   int size() const { return mna.size(); }
 };
 
@@ -213,6 +202,13 @@ bool newton_solve(Circuit& ckt, std::vector<double>& x,
 /// with adaptive increments, and pseudo-transient continuation as the
 /// fallback of last resort.  operating_point runs it for the DC solve and
 /// the transient engine re-enters it when Newton collapses at dt_min.
+///
+/// Every Newton solve of the ladder limits node-voltage steps to
+/// SolverOptions::v_step_limit or half the circuit's largest source
+/// voltage, whichever is smaller: a limit wider than the supply damps
+/// nothing, and an iterate on a flat (saturated or off) device branch then
+/// overshoots the far rail and back, capped both ways, for good — the
+/// two-cycle a 0.44 V CNT NAND2 output falls into at 0.4 V (0.32 <-> 0.72 V).
 ///
 /// Failure reporting accumulates across stages: the ladder remembers the
 /// most informative attribution (singular row, NaN device, oscillating
@@ -241,6 +237,7 @@ class ConvergenceOrchestrator {
 
   Circuit& ckt_;
   const SolverOptions& opts_;
+  SolverOptions newton_opts_;  ///< opts_ with the ladder's step limit
   NewtonWorkspace& ws_;
   NewtonStats stats_;
   NewtonDiag diag_;       ///< diagnostics of the most recent Newton solve
@@ -363,7 +360,7 @@ struct TransientOptions {
   /// Optional caller-owned Newton workspace.  An ensemble worker that
   /// re-runs one topology under many perturbed device models passes the
   /// same workspace every trial, so the matrix pattern, slot tables and
-  /// (sparse backend) the symbolic factorization are built once per worker
+  /// the symbolic factorization are built once per worker
   /// instead of once per trial.  Null = per-call workspace, as before.
   NewtonWorkspace* workspace = nullptr;
 };

@@ -23,12 +23,7 @@ void StampContext::add_jac(int row, int col, double val) const {
     *jac_slots[jac_cursor++] += val;
     return;
   }
-  if (capture_jac) {
-    capture_jac->emplace_back(row, col);
-    return;
-  }
-  if (row <= 0 || col <= 0) return;  // ground row/col eliminated
-  (*jac)(row - 1, col - 1) += val;
+  capture_jac->emplace_back(row, col);
 }
 
 void StampContext::add_rhs(int row, double val) const {
@@ -42,39 +37,19 @@ void StampContext::add_rhs(int row, double val) const {
     *rhs_slots[rhs_cursor++] += val;
     return;
   }
-  if (capture_rhs) {
-    capture_rhs->push_back(row);
-    return;
-  }
-  if (row <= 0) return;
-  (*rhs)[row - 1] += val;
+  capture_rhs->push_back(row);
 }
 
 void AcStampContext::add_g(int row, int col, double g_siemens) const {
-  if (cap_g) {
-    cap_g->push_back({row, col, g_siemens});
-    return;
-  }
-  if (row <= 0 || col <= 0) return;  // ground row/col eliminated
-  (*jac)(row - 1, col - 1) += phys::Complex{g_siemens, 0.0};
+  cap_g->push_back({row, col, g_siemens});
 }
 
 void AcStampContext::add_c(int row, int col, double c_farad) const {
-  if (cap_c) {
-    cap_c->push_back({row, col, c_farad});
-    return;
-  }
-  if (row <= 0 || col <= 0) return;
-  (*jac)(row - 1, col - 1) += phys::Complex{0.0, omega * c_farad};
+  cap_c->push_back({row, col, c_farad});
 }
 
 void AcStampContext::add_rhs(int row, phys::Complex val) const {
-  if (cap_rhs) {
-    cap_rhs->push_back({row, val});
-    return;
-  }
-  if (row <= 0) return;
-  (*rhs)[row - 1] += val;
+  cap_rhs->push_back({row, val});
 }
 
 double NoiseSource::psd_a2_hz(double f_hz) const {

@@ -13,7 +13,6 @@
 
 #include "device/ivmodel.h"
 #include "obs/phase.h"
-#include "phys/linalg.h"
 #include "phys/linalg_complex.h"
 #include "phys/require.h"
 #include "spice/waveform.h"
@@ -48,24 +47,20 @@ struct EvalCounters {
 
 /// Everything an element needs to stamp itself.
 ///
-/// Three write modes, in priority order:
+/// Two write modes, in priority order:
 ///  1. slot mode — jac_slots/rhs_slots point at the element's pre-resolved
 ///     value-pointer list (built once per topology by spice::MnaSystem);
 ///     add_jac/add_rhs stream through them with no index arithmetic and no
-///     ground branch.  This is the Newton hot path for both the dense and
-///     the sparse backend.
+///     ground branch.  This is the Newton hot path.
 ///  2. capture mode — capture_jac/capture_rhs record the (row, col) /
 ///     row footprint of each add call instead of writing values; MnaSystem
 ///     uses one capture pass to build the matrix pattern and slot tables.
-///  3. direct mode — the original dense write into *jac / *rhs.
 ///
 /// Contract for slot mode: an element must issue its add_jac/add_rhs calls
 /// in a fixed order; a mode may truncate the sequence (e.g. a capacitor
 /// stamps nothing in DC) but never reorder or extend it beyond the sequence
 /// captured with transient=true.
 struct StampContext {
-  phys::Matrix* jac = nullptr;          ///< (n_nodes-1 + n_branches)^2
-  std::vector<double>* rhs = nullptr;
   const std::vector<double>* x = nullptr;  ///< current iterate
 
   double time_s = 0.0;       ///< simulation time (sources)
@@ -125,20 +120,13 @@ struct StampContext {
 ///   add_g(r, c, g)    — conductance part [S] (the real G matrix),
 ///   add_c(r, c, c_f)  — capacitance part [F], entering as j*omega*c_f,
 ///   add_rhs(r, v)     — stimulus phasor.
-/// Two write modes:
-///  1. direct mode — jac/rhs point at a dense complex system and omega is
-///     set; add_g writes {g, 0}, add_c writes {0, omega*c}.  One-off
-///     assemblies and tests.
-///  2. value-capture mode — cap_g/cap_c/cap_rhs record the footprint AND
-///     the value of every call.  spice::AcSystem runs ONE capture pass per
-///     (topology, operating point) and then never calls stamp_ac again:
-///     per frequency point it memcpy-restores the captured G image and
-///     rescales the captured jωC entries through direct value pointers.
+/// Each call records its footprint AND value into cap_g/cap_c/cap_rhs.
+/// spice::AcSystem runs ONE capture pass per (topology, operating point)
+/// and then never calls stamp_ac again: per frequency point it
+/// memcpy-restores the captured G image and rescales the captured jωC
+/// entries through direct value pointers.
 struct AcStampContext {
-  phys::ComplexMatrix* jac = nullptr;
-  std::vector<phys::Complex>* rhs = nullptr;
   const std::vector<double>* x_dc = nullptr;  ///< converged DC solution
-  double omega = 0.0;                          ///< angular frequency [rad/s]
 
   /// One captured add_g/add_c call: MNA coordinates (1-based, 0 = ground)
   /// plus the frequency-independent value.

@@ -9,26 +9,21 @@
 
 namespace carbon::spice {
 
-bool MnaSystem::matches(const Circuit& ckt, LinearBackend backend,
-                        int sparse_threshold) const {
+bool MnaSystem::matches(const Circuit& ckt) const {
   // Keyed on the circuit's process-unique uid (not its address: a freshly
   // constructed circuit can reuse a destroyed one's storage) plus its
   // topology revision.
   return uid_ == ckt.uid() && revision_ == ckt.revision() &&
-         n_ == ckt.num_unknowns() && requested_ == backend &&
-         threshold_ == sparse_threshold;
+         n_ == ckt.num_unknowns();
 }
 
-void MnaSystem::build(Circuit& ckt, LinearBackend backend,
-                      int sparse_threshold) {
-  if (matches(ckt, backend, sparse_threshold)) return;
+void MnaSystem::build(Circuit& ckt) {
+  if (matches(ckt)) return;
 
   ckt.assign_branches();
   n_ = ckt.num_unknowns();
   n_nodes_ = ckt.num_nodes();
   CARBON_REQUIRE(n_ > 0, "empty circuit");
-  sparse_ = backend == LinearBackend::kSparse ||
-            (backend == LinearBackend::kAuto && n_ >= sparse_threshold);
 
   // --- capture pass: record every element's stamp footprint.  Captured
   // with transient=true so capacitor companion entries are part of the
@@ -54,37 +49,26 @@ void MnaSystem::build(Circuit& ckt, LinearBackend backend,
 
   // --- pattern + storage.
   rhs_.assign(n_, 0.0);
-  if (sparse_) {
-    std::vector<std::pair<int, int>> coords;
-    coords.reserve(jac_coords_.size() + n_nodes_);
-    for (const auto& [r, c] : jac_coords_) {
-      if (r > 0 && c > 0) coords.emplace_back(r - 1, c - 1);
-    }
-    // Every node diagonal joins the pattern unconditionally so the
-    // pseudo-transient shunts of add_node_shunts() are plain value writes
-    // (from_coords merges duplicates, so this is free when an element
-    // already stamps the position).
-    for (int i = 0; i < n_nodes_; ++i) coords.emplace_back(i, i);
-    smat_ = phys::SparseMatrix::from_coords(n_, std::move(coords));
-    slu_ = phys::SparseLu();  // drop any stale pattern analysis
-    djac_ = phys::Matrix();
-  } else {
-    djac_ = phys::Matrix(n_, n_);
-    smat_ = phys::SparseMatrix();
-    slu_ = phys::SparseLu();
+  std::vector<std::pair<int, int>> coords;
+  coords.reserve(jac_coords_.size() + n_nodes_);
+  for (const auto& [r, c] : jac_coords_) {
+    if (r > 0 && c > 0) coords.emplace_back(r - 1, c - 1);
   }
+  // Every node diagonal joins the pattern unconditionally so the
+  // pseudo-transient shunts of add_node_shunts() are plain value writes
+  // (from_coords merges duplicates, so this is free when an element
+  // already stamps the position).
+  for (int i = 0; i < n_nodes_; ++i) coords.emplace_back(i, i);
+  smat_ = phys::SparseMatrix::from_coords(n_, std::move(coords));
+  slu_ = phys::SparseLu();  // drop any stale pattern analysis
 
   // --- resolve the footprints to direct value pointers.
   jac_slots_.resize(jac_coords_.size());
   for (size_t t = 0; t < jac_coords_.size(); ++t) {
     const auto [r, c] = jac_coords_[t];
-    if (r <= 0 || c <= 0) {
-      jac_slots_[t] = &jac_trash_;
-    } else if (sparse_) {
-      jac_slots_[t] = &smat_.values()[smat_.slot(r - 1, c - 1)];
-    } else {
-      jac_slots_[t] = djac_.data() + static_cast<size_t>(r - 1) * n_ + (c - 1);
-    }
+    jac_slots_[t] = (r <= 0 || c <= 0)
+                        ? &jac_trash_
+                        : &smat_.values()[smat_.slot(r - 1, c - 1)];
   }
   rhs_slots_.resize(rhs_rows_.size());
   for (size_t t = 0; t < rhs_rows_.size(); ++t) {
@@ -93,9 +77,7 @@ void MnaSystem::build(Circuit& ckt, LinearBackend backend,
   }
   node_diag_.resize(n_nodes_);
   for (int i = 0; i < n_nodes_; ++i) {
-    node_diag_[i] = sparse_
-                        ? &smat_.values()[smat_.slot(i, i)]
-                        : djac_.data() + static_cast<size_t>(i) * n_ + i;
+    node_diag_[i] = &smat_.values()[smat_.slot(i, i)];
   }
 
   // --- static/dynamic split: classify every element, then stamp the
@@ -116,8 +98,6 @@ void MnaSystem::build(Circuit& ckt, LinearBackend backend,
 
   uid_ = ckt.uid();
   revision_ = ckt.revision();
-  requested_ = backend;
-  threshold_ = sparse_threshold;
   ++builds_;
 }
 
@@ -146,10 +126,7 @@ void MnaSystem::stamp_static_baseline() {
       elements[e]->stamp(base);
     }
   }
-  const double* vals = sparse_ ? smat_.values().data() : djac_.data();
-  const size_t nvals = sparse_ ? static_cast<size_t>(smat_.nnz())
-                               : static_cast<size_t>(n_) * n_;
-  baseline_.assign(vals, vals + nvals);
+  baseline_ = smat_.values();
   std::fill(rhs_.begin(), rhs_.end(), 0.0);  // drop baseline RHS writes
 
   // Both the factored image and any held factorization belong to the old
@@ -160,22 +137,16 @@ void MnaSystem::stamp_static_baseline() {
 
 void MnaSystem::refresh_baseline() { stamp_static_baseline(); }
 
-int MnaSystem::nnz() const { return sparse_ ? smat_.nnz() : n_ * n_; }
-
 void MnaSystem::zero() {
-  if (sparse_) {
-    smat_.zero_values();
-  } else {
-    djac_.fill(0.0);
-  }
+  smat_.zero_values();
   std::fill(rhs_.begin(), rhs_.end(), 0.0);
   jac_trash_ = 0.0;
   rhs_trash_ = 0.0;
 }
 
 void MnaSystem::restore_baseline() {
-  double* vals = sparse_ ? smat_.values().data() : djac_.data();
-  std::memcpy(vals, baseline_.data(), baseline_.size() * sizeof(double));
+  std::memcpy(smat_.values().data(), baseline_.data(),
+              baseline_.size() * sizeof(double));
   std::fill(rhs_.begin(), rhs_.end(), 0.0);
   jac_trash_ = 0.0;
   rhs_trash_ = 0.0;
@@ -184,8 +155,6 @@ void MnaSystem::restore_baseline() {
 void MnaSystem::stamp_all(const Circuit& ckt, StampContext& ctx) {
   CARBON_REQUIRE(ckt_ == &ckt && uid_ == ckt.uid(),
                  "MnaSystem stamped with a foreign circuit");
-  ctx.jac = nullptr;
-  ctx.rhs = nullptr;
   ctx.capture_jac = nullptr;
   ctx.capture_rhs = nullptr;
   obs::PhaseTimes* const ph = ctx.phases;
@@ -230,9 +199,8 @@ void MnaSystem::add_node_shunts(double geq, const std::vector<double>& x_ref) {
 
 bool MnaSystem::factor() {
   failure_ = FactorFailure{};
-  const double* vals = sparse_ ? smat_.values().data() : djac_.data();
-  const size_t nvals = sparse_ ? static_cast<size_t>(smat_.nnz())
-                               : static_cast<size_t>(n_) * n_;
+  const double* vals = smat_.values().data();
+  const size_t nvals = static_cast<size_t>(smat_.nnz());
   // The RHS never enters the Jacobian compare below, so a poisoned residual
   // must be caught here or it rides an otherwise valid factorization
   // straight into the Newton update.
@@ -260,15 +228,10 @@ bool MnaSystem::factor() {
   }
   for (size_t t = 0; t < nvals; ++t) {
     if (!std::isfinite(vals[t])) {
-      int row;
-      if (sparse_) {
-        const auto& rp = smat_.row_ptr();
-        row = static_cast<int>(
-            std::upper_bound(rp.begin(), rp.end(), static_cast<int>(t)) -
-            rp.begin() - 1);
-      } else {
-        row = static_cast<int>(t / static_cast<size_t>(n_));
-      }
+      const auto& rp = smat_.row_ptr();
+      const int row = static_cast<int>(
+          std::upper_bound(rp.begin(), rp.end(), static_cast<int>(t)) -
+          rp.begin() - 1);
       failure_ = {FactorFailure::Kind::kNonFinite, row};
       factored_valid_ = false;
       return false;
@@ -276,11 +239,7 @@ bool MnaSystem::factor() {
   }
   try {
     obs::ScopedSpan refactor_span("numeric-refactor");
-    if (sparse_) {
-      slu_.factor(smat_);
-    } else {
-      dlu_.factor(djac_);
-    }
+    slu_.factor(smat_);
   } catch (const phys::SingularMatrixError& e) {
     failure_ = {e.kind() == phys::SingularMatrixError::Kind::kNonFinite
                     ? FactorFailure::Kind::kNonFinite
@@ -299,11 +258,7 @@ bool MnaSystem::factor() {
 }
 
 void MnaSystem::solve_in_place(std::vector<double>& bx) const {
-  if (sparse_) {
-    slu_.solve_in_place(bx);
-  } else {
-    dlu_.solve_in_place(bx);
-  }
+  slu_.solve_in_place(bx);
 }
 
 void MnaSystem::copy_rhs(std::vector<double>& out) const {

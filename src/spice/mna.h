@@ -3,16 +3,17 @@
 /// @file mna.h
 /// The MNA assembly + linear-solve backend shared by every analysis.
 ///
-/// MnaSystem owns the Jacobian storage (dense phys::Matrix or sparse CSR),
-/// the RHS vector, and — the heart of the fast path — the *slot tables*:
-/// one capture pass per circuit topology records each element's stamp
-/// footprint, builds the matrix pattern from it, and resolves every future
-/// add_jac/add_rhs call to a direct value pointer.  After build(), a Newton
-/// iteration is: restore_baseline(), stamp_all(), factor(),
-/// solve_in_place() — no index arithmetic in the stamps, no allocation,
-/// and (sparse backend) no symbolic factorization work: the LU reuses the
-/// ordering and fill pattern computed once per topology across every
-/// iteration, sweep point and time step.
+/// MnaSystem owns the sparse CSR Jacobian, the RHS vector, and — the heart
+/// of the fast path — the *slot tables*: one capture pass per circuit
+/// topology records each element's stamp footprint, builds the matrix
+/// pattern from it, and resolves every future add_jac/add_rhs call to a
+/// direct value pointer.  After build(), a Newton iteration is:
+/// restore_baseline(), stamp_all(), factor(), solve_in_place() — no index
+/// arithmetic in the stamps, no allocation, and no symbolic factorization
+/// work: the sparse LU (phys::SparseLu, the KLU recipe) reuses the ordering
+/// and fill pattern computed once per topology across every iteration,
+/// sweep point and time step.  It is the one linear backend at every size,
+/// from a 5-unknown inverter to a 4096-unknown ladder.
 ///
 /// Static/dynamic stamp split: build() classifies every element, stamps
 /// the constant-Jacobian ones (resistors, source incidence rows) once
@@ -25,19 +26,11 @@
 #include <utility>
 #include <vector>
 
-#include "phys/linalg.h"
 #include "phys/sparse.h"
 #include "spice/circuit.h"
 #include "spice/elements.h"
 
 namespace carbon::spice {
-
-/// Linear-solver backend selection.
-enum class LinearBackend {
-  kAuto = 0,  ///< dense below SolverOptions::sparse_threshold, sparse above
-  kDense,
-  kSparse,
-};
 
 class MnaSystem {
  public:
@@ -48,17 +41,14 @@ class MnaSystem {
 
   /// Build pattern + slot tables for @p ckt (runs assign_branches).  Cheap
   /// to call again for the same topology: a no-op when matches() holds.
-  void build(Circuit& ckt, LinearBackend backend, int sparse_threshold);
+  void build(Circuit& ckt);
 
-  /// True when the instance is built for @p ckt's current topology and the
-  /// same backend request.
-  bool matches(const Circuit& ckt, LinearBackend backend,
-               int sparse_threshold) const;
+  /// True when the instance is built for @p ckt's current topology.
+  bool matches(const Circuit& ckt) const;
 
-  bool is_sparse() const { return sparse_; }
   int size() const { return n_; }
-  /// Structural nonzeros of the Jacobian (sparse backend; n*n for dense).
-  int nnz() const;
+  /// Structural nonzeros of the Jacobian.
+  int nnz() const { return smat_.nnz(); }
 
   /// Zero the Jacobian values and the RHS.  NOT the start of an assembly
   /// pass — stamp_all() skips the static elements, whose values only
@@ -104,16 +94,16 @@ class MnaSystem {
   /// history current geq * x_ref[i] on the RHS — the artificial-capacitor
   /// stamp of pseudo-transient continuation (geq = C/dt, x_ref = previous
   /// accepted state).  build() guarantees every node diagonal is in the
-  /// sparse pattern, so this is a direct value write with no pattern
-  /// growth.  Call between stamp_all() and factor(); restore_baseline()
-  /// clears it again.
+  /// pattern, so this is a direct value write with no pattern growth.
+  /// Call between stamp_all() and factor(); restore_baseline() clears it
+  /// again.
   void add_node_shunts(double geq, const std::vector<double>& x_ref);
 
   /// Factor the assembled Jacobian.  Returns false on numerical
-  /// singularity (callers treat it as a failed homotopy rung).  The sparse
-  /// backend refactors on the recorded pattern and transparently re-runs
-  /// the pivot analysis if the values drifted too far from the ones the
-  /// pivots were picked for.
+  /// singularity (callers treat it as a failed homotopy rung).  Refactors
+  /// on the recorded pattern and transparently re-runs the pivot analysis
+  /// if the values drifted too far from the ones the pivots were picked
+  /// for.
   ///
   /// Shamanskii / modified-Newton fast path: when the assembled values are
   /// bit-identical to the last successfully factored Jacobian — which is
@@ -150,8 +140,8 @@ class MnaSystem {
   /// Copy the assembled RHS into @p out (resized to size()).
   void copy_rhs(std::vector<double>& out) const;
 
-  /// Symbolic analyses performed by the sparse LU (diagnostics; stays at 1
-  /// per topology when pattern reuse works).
+  /// Symbolic analyses performed by the LU (diagnostics; stays at 1 per
+  /// topology when pattern reuse works).
   int analyze_count() const { return slu_.analyze_count(); }
 
  private:
@@ -162,16 +152,10 @@ class MnaSystem {
   const Circuit* ckt_ = nullptr;
   std::uint64_t uid_ = 0;
   std::uint64_t revision_ = 0;
-  LinearBackend requested_ = LinearBackend::kAuto;
-  int threshold_ = 0;
   int n_ = 0;
   int n_nodes_ = 0;
-  bool sparse_ = false;
   FactorFailure failure_;
 
-  // Backends.
-  phys::Matrix djac_;
-  phys::LuFactorization dlu_;
   phys::SparseMatrix smat_;
   phys::SparseLu slu_;
 
@@ -194,7 +178,7 @@ class MnaSystem {
     kSkip,       ///< Jacobian from the baseline, no RHS — not visited
   };
   std::vector<StampMode> stamp_mode_;
-  std::vector<double> baseline_;  ///< static Jacobian values (dense or CSR)
+  std::vector<double> baseline_;  ///< static Jacobian values (CSR order)
   int static_skipped_ = 0;
 
   // Shamanskii fast path: image of the last successfully factored values.

@@ -1208,7 +1208,7 @@ void retune(const Deck& deck, const ModelRegistry& models,
   }
 }
 
-Deck parse_deck(const std::string& text, const ModelRegistry& models) {
+Deck parse_deck(const std::string& text, const ModelRegistry& /*models*/) {
   Deck deck;
   deck.scopes.push_back(ParamScope{});  // scope 0: globals
 
@@ -1321,8 +1321,11 @@ Deck parse_deck(const std::string& text, const ModelRegistry& models) {
           fail(card.line_no, card.text,
                ".probe wants v(<node>) / i(<vsource>) entries");
         }
-        (kind == "v" ? deck.probe_nodes : deck.probe_currents)
-            .push_back(name);
+        if (kind == "v") {
+          deck.probe_nodes.push_back({name, card.line_no, card.text});
+        } else {
+          deck.probe_currents.push_back(name);
+        }
       }
       continue;
     }
@@ -1355,15 +1358,12 @@ Deck parse_deck(const std::string& text, const ModelRegistry& models) {
     deck.topology_signature = os.str();
     deck.topology_hash = fnv1a64(deck.topology_signature);
   }
-
-  deck.circuit = instantiate(deck, models, {});
   return deck;
 }
 
 std::unique_ptr<Circuit> parse_netlist(const std::string& text,
                                        const ModelRegistry& models) {
-  Deck deck = parse_deck(text, models);
-  return std::move(deck.circuit);
+  return instantiate(parse_deck(text), models);
 }
 
 }  // namespace carbon::spice

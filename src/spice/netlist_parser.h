@@ -186,13 +186,19 @@ struct StepSpec {
   std::string line;
 };
 
-/// A parsed deck: the instantiated circuit (at the base parameter values)
-/// plus everything needed to re-instantiate or retune it per step point
-/// and to drive analyses and measures.  Move-only (owns the Circuit).
+/// One `.probe v(<node>)` selection and the card that made it.
+struct ProbeNode {
+  std::string node;
+  int line_no = 0;
+  std::string line;
+};
+
+/// A parsed deck: everything needed to instantiate or retune its circuit
+/// per step point (instantiate(), retune()) and to drive analyses and
+/// measures.  Parsing evaluates no values: bad numbers, expressions and
+/// unknown models surface from instantiate().
 struct Deck {
   std::string title;
-
-  std::unique_ptr<Circuit> circuit;  ///< built at the base parameter env
 
   std::vector<ParamScope> scopes;  ///< [0] = globals
   std::vector<ModelCard> models;
@@ -202,7 +208,7 @@ struct Deck {
   std::vector<StepSpec> steps;
 
   /// `.probe v(a) i(v1)` selections; empty + !probe_none = every node.
-  std::vector<std::string> probe_nodes;
+  std::vector<ProbeNode> probe_nodes;
   std::vector<std::string> probe_currents;
   bool probe_none = false;  ///< `.probe none`: measures only, no tables
 
@@ -215,9 +221,10 @@ struct Deck {
   std::uint64_t topology_hash = 0;
 };
 
-/// Parse a full deck.  @p models resolves m-card model names not defined
-/// by deck-local `.model` cards; Deck::circuit is instantiated at the base
-/// parameter environment (first .step value where stepped).
+/// Parse a full deck: cards, hierarchy flattening and the topology
+/// signature.  Throws ParseError on malformed cards.  The registry is not
+/// consulted (models resolve in instantiate()); the parameter stays for
+/// existing callers.
 Deck parse_deck(const std::string& text, const ModelRegistry& models = {});
 
 /// Step-grid parameter overrides, one env per step point in run order (a
@@ -233,6 +240,9 @@ using ModelMemo = std::map<std::string, device::DeviceModelPtr>;
 
 /// Instantiate a fresh Circuit from the flattened cards under the given
 /// global parameter overrides (stepped values; pass {} for the base point).
+/// @p models resolves m-card model names not defined by deck-local
+/// `.model` cards.  Throws ParseError, naming the card's line, on values
+/// that do not evaluate and on unknown models.
 std::unique_ptr<Circuit> instantiate(const Deck& deck,
                                      const ModelRegistry& models,
                                      const ParamEnv& overrides = {},
@@ -248,8 +258,8 @@ void retune(const Deck& deck, const ModelRegistry& models,
             const ParamEnv& overrides, Circuit& ckt,
             ModelMemo* memo = nullptr);
 
-/// Deprecated thin wrapper kept for existing callers: parse and return
-/// just the circuit of the deck's base instantiation.
+/// Parse and instantiate at the base parameter point:
+/// instantiate(parse_deck(text), models).
 std::unique_ptr<Circuit> parse_netlist(const std::string& text,
                                        const ModelRegistry& models = {});
 

@@ -88,20 +88,12 @@ struct DeckConfig {
 DeckConfig config_from(const Deck& deck) {
   DeckConfig cfg;
   for (const auto& [k, v] : deck.options) {
-    if (k == "backend") {
-      const std::string b = lower(v);
-      if (b == "sparse") cfg.solver.backend = LinearBackend::kSparse;
-      else if (b == "dense") cfg.solver.backend = LinearBackend::kDense;
-      else if (b == "auto") cfg.solver.backend = LinearBackend::kAuto;
-      else throw ParseError(".options backend must be dense|sparse|auto");
-    } else if (k == "reltol") {
+    if (k == "reltol") {
       cfg.solver.reltol = parse_spice_number(v);
     } else if (k == "abstol" || k == "vabstol") {
       cfg.solver.v_abstol = parse_spice_number(v);
     } else if (k == "maxiter") {
       cfg.solver.max_iterations = static_cast<int>(parse_spice_number(v));
-    } else if (k == "sparse_threshold") {
-      cfg.solver.sparse_threshold = static_cast<int>(parse_spice_number(v));
     } else if (k == "gmin") {
       cfg.solver.gmin_final = parse_spice_number(v);
     } else if (k == "temp") {
@@ -111,6 +103,28 @@ DeckConfig config_from(const Deck& deck) {
     }
   }
   return cfg;
+}
+
+/// Deck errors no solve should be left to find: a circuit with no node to
+/// solve for, and a .probe or .noise output naming a node the circuit
+/// lacks.
+void check_circuit(const Deck& deck, const Circuit& ckt) {
+  if (ckt.num_nodes() == 0) {
+    throw ParseError("deck has no circuit node to solve for");
+  }
+  for (const ProbeNode& p : deck.probe_nodes) {
+    if (!ckt.has_node(p.node)) {
+      throw ParseError(".probe names unknown node '" + p.node + "'",
+                       p.line_no, p.line);
+    }
+  }
+  for (const AnalysisCard& card : deck.analyses) {
+    if (card.kind == AnalysisCard::Kind::kNoise &&
+        (!ckt.has_node(card.output) || ckt.find_node(card.output) == 0)) {
+      throw ParseError(".noise output must be a non-ground circuit node",
+                       card.line_no, card.line);
+    }
+  }
 }
 
 /// Everything one step point's analyses record, for the measure pass.
@@ -165,6 +179,15 @@ class StepRunner {
         session_opts_(session_opts) {}
 
   core::Json run() {
+    // A sweep grid that cannot be marched fails the deck before any solve.
+    for (const AnalysisCard& card : deck_.analyses) {
+      if (card.kind == AnalysisCard::Kind::kAc ||
+          card.kind == AnalysisCard::Kind::kNoise) {
+        AcOptions grid;
+        read_frequency_grid(card, grid);
+      }
+    }
+
     auto step = core::Json::object();
     if (!overrides_.empty()) {
       auto params = core::Json::object();
@@ -173,7 +196,7 @@ class StepRunner {
     }
 
     retune(deck_, registry_, overrides_, ckt_, &memo_);
-    ws_.prepare(ckt_, cfg_.solver);
+    ws_.prepare(ckt_);
     // Element *values* may have changed under the unchanged topology; the
     // static Jacobian baseline follows them, the pattern does not.
     ws_.mna.refresh_baseline();
@@ -222,6 +245,25 @@ class StepRunner {
     }
   }
 
+  /// Evaluate the .ac/.noise grid of @p card into @p opt (AcOptions or
+  /// NoiseOptions).  Rejects what log_frequency_grid cannot march: a
+  /// non-positive start, a stop not above the start, and fewer than 1 or
+  /// more than 1e6 points per decade (the cap keeps the point count of any
+  /// finite range representable).
+  template <typename SweepOptions>
+  void read_frequency_grid(const AnalysisCard& card, SweepOptions& opt) const {
+    const double npd = eval_in_env(card.npd_expr, card.line_no, card.line);
+    opt.f_start_hz = eval_in_env(card.fstart_expr, card.line_no, card.line);
+    opt.f_stop_hz = eval_in_env(card.fstop_expr, card.line_no, card.line);
+    if (!(opt.f_start_hz > 0.0 && opt.f_stop_hz > opt.f_start_hz &&
+          std::isfinite(opt.f_stop_hz) && npd >= 1.0 && npd <= 1e6)) {
+      throw ParseError(
+          "sweep wants 0 < fstart < fstop and 1 to 1e6 points per decade",
+          card.line_no, card.line);
+    }
+    opt.points_per_decade = static_cast<int>(npd);
+  }
+
   /// Global parameter env of this step (globals + overrides), evaluated
   /// lazily once: analysis and measure card options are expressions too.
   const ParamEnv& genv() const {
@@ -249,7 +291,7 @@ class StepRunner {
   std::vector<std::string> voltage_probes(const std::string& analysis) const {
     std::vector<std::string> out;
     if (!deck_.probe_none) {
-      for (const std::string& p : deck_.probe_nodes) push_unique(out, p);
+      for (const ProbeNode& p : deck_.probe_nodes) push_unique(out, p.node);
       if (deck_.probe_nodes.empty()) {
         for (int id = 1; id <= ckt_.num_nodes(); ++id) {
           push_unique(out, ckt_.node_name(id));
@@ -462,10 +504,7 @@ class StepRunner {
 
   void run_ac(const AnalysisCard& card, core::Json& out) {
     AcOptions aopt;
-    aopt.points_per_decade =
-        static_cast<int>(eval_in_env(card.npd_expr, card.line_no, card.line));
-    aopt.f_start_hz = eval_in_env(card.fstart_expr, card.line_no, card.line);
-    aopt.f_stop_hz = eval_in_env(card.fstop_expr, card.line_no, card.line);
+    read_frequency_grid(card, aopt);
     aopt.dc = cfg_.solver;
     aopt.workspace = &ws_;
     aopt.system = &ac_;
@@ -480,10 +519,7 @@ class StepRunner {
 
   void run_noise(const AnalysisCard& card, core::Json& out) {
     NoiseOptions nopt;
-    nopt.points_per_decade =
-        static_cast<int>(eval_in_env(card.npd_expr, card.line_no, card.line));
-    nopt.f_start_hz = eval_in_env(card.fstart_expr, card.line_no, card.line);
-    nopt.f_stop_hz = eval_in_env(card.fstop_expr, card.line_no, card.line);
+    read_frequency_grid(card, nopt);
     nopt.temperature_k = cfg_.temperature_k;
     nopt.dc = cfg_.solver;
     nopt.workspace = &ws_;
@@ -687,6 +723,11 @@ SimSession::CacheEntry& SimSession::entry_for(const Deck& deck,
   }
   *cache_hit = false;
   ++cache_misses_;
+  // Instantiate before touching the cache: a deck whose values do not
+  // evaluate must leave no entry behind (a later deck of the same topology
+  // would hit it and find no circuit).
+  ModelMemo memo;
+  std::unique_ptr<Circuit> circuit = instantiate(deck, registry_, {}, &memo);
   const std::size_t capacity =
       static_cast<std::size_t>(std::max(1, opts_.cache_capacity));
   while (cache_.size() >= capacity && !lru_.empty()) {
@@ -697,7 +738,8 @@ SimSession::CacheEntry& SimSession::entry_for(const Deck& deck,
   CacheEntry& entry = cache_[deck.topology_signature];
   lru_.push_front(deck.topology_signature);
   entry.lru_pos = lru_.begin();
-  entry.circuit = instantiate(deck, registry_, {}, &entry.model_memo);
+  entry.circuit = std::move(circuit);
+  entry.model_memo = std::move(memo);
   return entry;
 }
 
@@ -707,6 +749,7 @@ core::Json SimSession::run_deck(const Deck& deck,
   obs::ScopedSpan deck_span("deck");
   bool cache_hit = false;
   CacheEntry& entry = entry_for(deck, &cache_hit);
+  check_circuit(deck, *entry.circuit);
   ++entry.uses;
   DeckConfig cfg = config_from(deck);
   cfg.solver.cancel = cancel;  // polled by every Newton/transient/AC loop

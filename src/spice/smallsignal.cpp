@@ -12,24 +12,18 @@ namespace carbon::spice {
 
 // ----------------------------------------------------------------- AcSystem
 
-void AcSystem::build(Circuit& ckt, const std::vector<double>& x_dc,
-                     LinearBackend backend, int sparse_threshold) {
+void AcSystem::build(Circuit& ckt, const std::vector<double>& x_dc) {
   ckt.assign_branches();
   const int n = ckt.num_unknowns();
   CARBON_REQUIRE(n > 0, "empty circuit");
   CARBON_REQUIRE(static_cast<int>(x_dc.size()) == n,
                  "operating-point vector does not match the circuit");
 
-  // Same topology + backend request: keep the pattern AND the sparse LU's
-  // symbolic analysis; only the captured values are refreshed below.
+  // Same topology: keep the pattern AND the LU's symbolic analysis; only
+  // the captured values are refreshed below.
   const bool structure_ok = built_ && uid_ == ckt.uid() &&
-                            revision_ == ckt.revision() && n_ == n &&
-                            requested_ == backend &&
-                            threshold_ == sparse_threshold;
-
+                            revision_ == ckt.revision() && n_ == n;
   n_ = n;
-  sparse_ = backend == LinearBackend::kSparse ||
-            (backend == LinearBackend::kAuto && n >= sparse_threshold);
 
   // --- value-capture pass: one stamp_ac per element records footprint and
   // value of every G / C / stimulus contribution.  After this pass no
@@ -55,42 +49,25 @@ void AcSystem::build(Circuit& ckt, const std::vector<double>& x_dc,
     for (const auto& e : ccap) {
       if (e.row > 0 && e.col > 0) coords.emplace_back(e.row - 1, e.col - 1);
     }
-    if (sparse_) {
-      smat_ = phys::SparseMatrixZ::from_coords(n, std::move(coords));
-      slu_ = phys::SparseLuZ();  // drop any stale pattern analysis
-      djac_ = phys::ComplexMatrix();
-    } else {
-      djac_ = phys::ComplexMatrix(n, n);
-      smat_ = phys::SparseMatrixZ();
-      slu_ = phys::SparseLuZ();
-    }
+    smat_ = phys::SparseMatrixZ::from_coords(n, std::move(coords));
+    slu_ = phys::SparseLuZ();  // drop any stale pattern analysis
   }
 
   // --- G baseline: sum the conductance image into the value storage once;
   // assemble_factor() memcpy-restores it at every frequency point.
-  const auto slot_of = [&](int row, int col) {
-    return sparse_ ? smat_.slot(row - 1, col - 1)
-                   : (row - 1) * n_ + (col - 1);
-  };
-  if (sparse_) {
-    smat_.zero_values();
-  } else {
-    djac_.fill({});
-  }
-  phys::Complex* vals = sparse_ ? smat_.values().data() : djac_.data();
+  smat_.zero_values();
+  std::vector<phys::Complex>& vals = smat_.values();
   for (const auto& e : gcap) {
     if (e.row <= 0 || e.col <= 0) continue;  // ground row/col eliminated
-    vals[slot_of(e.row, e.col)] += phys::Complex{e.value, 0.0};
+    vals[smat_.slot(e.row - 1, e.col - 1)] += phys::Complex{e.value, 0.0};
   }
-  const size_t nvals =
-      sparse_ ? static_cast<size_t>(smat_.nnz()) : static_cast<size_t>(n) * n;
-  baseline_.assign(vals, vals + nvals);
+  baseline_ = vals;
 
   // --- jωC entries, merged per value slot: the only per-frequency writes.
   std::map<int, double> c_by_slot;
   for (const auto& e : ccap) {
     if (e.row <= 0 || e.col <= 0 || e.value == 0.0) continue;
-    c_by_slot[slot_of(e.row, e.col)] += e.value;
+    c_by_slot[smat_.slot(e.row - 1, e.col - 1)] += e.value;
   }
   c_entries_.assign(c_by_slot.begin(), c_by_slot.end());
 
@@ -102,52 +79,31 @@ void AcSystem::build(Circuit& ckt, const std::vector<double>& x_dc,
 
   uid_ = ckt.uid();
   revision_ = ckt.revision();
-  requested_ = backend;
-  threshold_ = sparse_threshold;
-  dense_factored_ = false;
   built_ = true;
 }
 
-int AcSystem::nnz() const { return sparse_ ? smat_.nnz() : n_ * n_; }
-
 bool AcSystem::assemble_factor(double omega) {
   CARBON_REQUIRE(built_, "AcSystem: build() has not run");
-  phys::Complex* vals = sparse_ ? smat_.values().data() : djac_.data();
+  phys::Complex* vals = smat_.values().data();
   std::memcpy(vals, baseline_.data(),
               baseline_.size() * sizeof(phys::Complex));
   for (const auto& [slot, c] : c_entries_) {
     vals[slot] += phys::Complex{0.0, omega * c};
   }
   try {
-    if (sparse_) {
-      slu_.factor(smat_);
-    } else {
-      dlu_.factor(djac_);
-      dense_factored_ = true;
-    }
+    slu_.factor(smat_);
   } catch (const phys::ConvergenceError&) {
-    dense_factored_ = false;
     return false;
   }
   return true;
 }
 
 void AcSystem::solve_in_place(std::vector<phys::Complex>& bx) const {
-  if (sparse_) {
-    slu_.solve_in_place(bx);
-  } else {
-    CARBON_REQUIRE(dense_factored_, "AcSystem: no factorization held");
-    dlu_.solve_in_place(bx);
-  }
+  slu_.solve_in_place(bx);
 }
 
 void AcSystem::solve_transpose_in_place(std::vector<phys::Complex>& bx) const {
-  if (sparse_) {
-    slu_.solve_transpose_in_place(bx);
-  } else {
-    CARBON_REQUIRE(dense_factored_, "AcSystem: no factorization held");
-    dlu_.solve_transpose_in_place(bx);
-  }
+  slu_.solve_transpose_in_place(bx);
 }
 
 // ------------------------------------------------------- log_frequency_grid
@@ -197,7 +153,7 @@ NoiseResult noise_sweep(Circuit& ckt, VSource& input,
   input.set_ac_magnitude(1.0);
   AcSystem local;
   AcSystem& sys = opt.system ? *opt.system : local;
-  sys.build(ckt, dc_sol.x, opt.dc.backend, opt.dc.sparse_threshold);
+  sys.build(ckt, dc_sol.x);
   const int n = sys.size();
 
   NoiseResult res;

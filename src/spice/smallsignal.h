@@ -11,12 +11,11 @@
 /// operating point) records every element's small-signal footprint — the
 /// frequency-independent conductance image G, the capacitance entries that
 /// enter as jωC, and the stimulus phasor — and resolves them to direct
-/// value slots of a complex CSR matrix (or a dense one below the sparse
-/// threshold, mirroring NewtonWorkspace's auto selection).  After that no
-/// element is ever consulted again: each frequency point memcpy-restores
-/// the G image, rescales the captured jωC entries in place, and refactors
-/// the complex sparse LU on the pattern analyzed ONCE for the whole sweep
-/// (the MNA pattern is frequency-independent).
+/// value slots of a complex CSR matrix.  After that no element is ever
+/// consulted again: each frequency point memcpy-restores the G image,
+/// rescales the captured jωC entries in place, and refactors the complex
+/// sparse LU on the pattern analyzed ONCE for the whole sweep (the MNA
+/// pattern is frequency-independent).
 ///
 /// noise_sweep() adds the classic adjoint-network method: per frequency,
 /// one transposed-system solve yields the transfer from every noise
@@ -49,17 +48,13 @@ class AcSystem {
   AcSystem& operator=(const AcSystem&) = delete;
 
   /// (Re)capture the circuit linearized at the DC solution @p x_dc.
-  /// Backend selection mirrors NewtonWorkspace: kAuto goes sparse at
-  /// sparse_threshold unknowns.  Cheap when the topology is unchanged:
-  /// the pattern, slot tables and LU analysis are reused and only the
-  /// captured values are refreshed.
-  void build(Circuit& ckt, const std::vector<double>& x_dc,
-             LinearBackend backend, int sparse_threshold);
+  /// Cheap when the topology is unchanged: the pattern, slot tables and LU
+  /// analysis are reused and only the captured values are refreshed.
+  void build(Circuit& ckt, const std::vector<double>& x_dc);
 
-  bool is_sparse() const { return sparse_; }
   int size() const { return n_; }
-  /// Structural nonzeros of the complex Jacobian (n*n for dense).
-  int nnz() const;
+  /// Structural nonzeros of the complex Jacobian.
+  int nnz() const { return smat_.nnz(); }
 
   /// Assemble the system at angular frequency @p omega (restore the G
   /// baseline, add jωC through the recorded slots) and factor it.
@@ -78,29 +73,22 @@ class AcSystem {
   const std::vector<phys::Complex>& stimulus() const { return rhs_; }
 
   /// Symbolic analyses performed by the complex sparse LU; stays at 1 per
-  /// topology when pattern reuse works (diagnostics, 0 for dense).
+  /// topology when pattern reuse works (diagnostics).
   int analyze_count() const { return slu_.analyze_count(); }
 
  private:
   std::uint64_t uid_ = 0;
   std::uint64_t revision_ = 0;
-  LinearBackend requested_ = LinearBackend::kAuto;
-  int threshold_ = 0;
   int n_ = 0;
-  bool sparse_ = false;
   bool built_ = false;
 
-  // Backends.
   phys::SparseMatrixZ smat_;
   phys::SparseLuZ slu_;
-  phys::ComplexMatrix djac_;
-  phys::ComplexLuFactorization dlu_;
-  bool dense_factored_ = false;
 
-  /// Captured G image over the full value storage (CSR values or dense
-  /// row-major), memcpy-restored at every frequency point.
+  /// Captured G image over the CSR values, memcpy-restored at every
+  /// frequency point.
   std::vector<phys::Complex> baseline_;
-  /// Captured jωC entries: value-storage slot plus capacitance, merged per
+  /// Captured jωC entries: CSR value slot plus capacitance, merged per
   /// slot.  Per point: value[slot] += j * omega * c.
   std::vector<std::pair<int, double>> c_entries_;
   std::vector<phys::Complex> rhs_;
@@ -117,8 +105,7 @@ struct NoiseOptions {
   double f_stop_hz = 1e12;
   int points_per_decade = 10;
   double temperature_k = 300.0;
-  SolverOptions dc;  ///< operating-point solver options (also selects the
-                     ///< AC backend via backend/sparse_threshold)
+  SolverOptions dc;  ///< operating-point solver options
 
   /// Optional caller-owned reuse state, mirroring AcOptions: the Newton
   /// workspace backs the operating-point solve, the AcSystem carries the

@@ -15,6 +15,7 @@
 #include "device/ivmodel.h"
 #include "spice/analyses.h"
 #include "spice/circuit.h"
+#include "spice/netlist_parser.h"
 
 namespace {
 
@@ -279,6 +280,45 @@ TEST(Ladder, PseudoTransientIsTheLastResortAndWorks) {
   EXPECT_TRUE(sol.stats.used_pseudo_transient);
   EXPECT_GT(sol.stats.ptc_steps, 0);
   expect_ring_solved(*f.bench.ckt, sol, 51);
+}
+
+TEST(Ladder, LowSupplyCntGatesConvergePlainNewton) {
+  // A 0.44 V CNT NAND2/NOR2 at every input combination.  With both NAND
+  // inputs low the output's pull-up pair is saturated, so Newton's step
+  // from 0 V overshoots vdd; under a 0.4 V step limit (wider than the
+  // supply) the output two-cycled between 0.32 and 0.72 V and only the gmin
+  // ramp or source stepping recovered it.  The ladder's limit of half the
+  // largest source voltage makes every point a plain Newton solve.
+  const double vdd = 0.4446;
+  const char* pulls[] = {
+      // NAND2: parallel pull-up, series pull-down.
+      "mpa out a vdd pcnt\nmpb out b vdd pcnt\n"
+      "mna out a mid ncnt\nmnb mid b 0 ncnt\n",
+      // NOR2: series pull-up, parallel pull-down.
+      "mpa mid a vdd pcnt\nmpb out b mid pcnt\n"
+      "mna out a 0 ncnt\nmnb out b 0 ncnt\n"};
+  sp::ModelMemo memo;  // the two CNT models are built once
+  for (int gate = 0; gate < 2; ++gate) {
+    for (int in = 0; in < 4; ++in) {
+      const double va = (in & 1) ? vdd : 0.0, vb = (in & 2) ? vdd : 0.0;
+      const auto ckt = sp::instantiate(
+          sp::parse_deck(
+              ".model ncnt cnfet(l=22.36e-9)\n"
+              ".model pcnt cpfet(l=22.36e-9)\n"
+              "vdd vdd 0 " + std::to_string(vdd) + "\n"
+              "va a 0 " + std::to_string(va) + "\n"
+              "vb b 0 " + std::to_string(vb) + "\n" + pulls[gate]),
+          {}, {}, &memo);
+      const auto sol = sp::operating_point(*ckt);
+      SCOPED_TRACE((gate ? "nor2 " : "nand2 ") + std::to_string(in));
+      EXPECT_EQ(sol.stats.stage, sp::SolveStage::kNewton);
+      EXPECT_FALSE(sol.stats.used_gmin_stepping);
+      EXPECT_FALSE(sol.stats.used_source_stepping);
+      const bool high = gate ? in == 0 : in != 3;
+      EXPECT_NEAR(sp::node_voltage(*ckt, sol, "out"), high ? vdd : 0.0,
+                  0.02 * vdd);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

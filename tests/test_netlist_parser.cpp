@@ -188,10 +188,17 @@ TEST(SpiceNumber, SuffixTable) {
 // ---------------------------------------------------------------------------
 // structured error reporting: every card family names its line
 
+/// @p instantiate routes the deck through parse_netlist: parse_deck reads
+/// cards without evaluating values, so value errors surface from
+/// instantiate().
 void expect_parse_error(const std::string& deck, int line,
-                        const std::string& needle) {
+                        const std::string& needle, bool instantiate = false) {
   try {
-    sp::parse_deck(deck);
+    if (instantiate) {
+      sp::parse_netlist(deck);
+    } else {
+      sp::parse_deck(deck);
+    }
     FAIL() << "expected ParseError for: " << needle;
   } catch (const sp::ParseError& e) {
     EXPECT_EQ(e.line(), line) << e.what();
@@ -208,7 +215,7 @@ TEST(ParserErrors, EveryCardFamilyNamesItsLine) {
   expect_parse_error("d1 a\n", 1, "D wants");
   expect_parse_error("m1 d g\n", 1, "M wants");
   expect_parse_error("r1 a 0 1k\nx1 a inv\n", 2, "unknown subcircuit");
-  expect_parse_error("r1 a 0 bogus\n", 1, "bogus");
+  expect_parse_error("r1 a 0 bogus\n", 1, "bogus", true);
   expect_parse_error(".param x=\n", 1, "param");
   expect_parse_error(".step param v 1 2\n", 1, ".step");
   expect_parse_error(".model m1 nosuchtype(k=1)\nr1 a 0 1\n", 1,
@@ -224,8 +231,8 @@ TEST(ParserErrors, EveryCardFamilyNamesItsLine) {
 }
 
 TEST(ParserErrors, ExpressionErrorsNameTheCardLine) {
-  expect_parse_error("r1 a 0 {1k +}\n", 1, "expression");
-  expect_parse_error("r1 a 0 {nope*2}\n", 1, "nope");
+  expect_parse_error("r1 a 0 {1k +}\n", 1, "expression", true);
+  expect_parse_error("r1 a 0 {nope*2}\n", 1, "nope", true);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 
 #include "core/report.h"
+#include "device/alpha_power.h"
 #include "phys/cancel.h"
 #include "spice/session.h"
 
@@ -17,7 +19,7 @@ namespace sp = carbon::spice;
 using carbon::core::Json;
 
 // The acceptance deck: hierarchical (.subckt + x cards), stepped supply,
-// sparse backend, measures — everything the frontend promises at once.
+// measures — everything the frontend promises at once.
 constexpr const char* kAcceptanceDeck = R"(
 .title stepped inverter chain
 .param vdd=1.0 cl=10f
@@ -32,7 +34,6 @@ vdd vdd 0 {vdd}
 vin in  0 0
 x1 in  m1  vdd inv cl={2*cl}
 x2 m1  out vdd inv
-.options backend=sparse
 .dc vin 0 {vdd} 0.05
 .step param vdd 0.8 1.2 0.2
 .probe v(out)
@@ -114,15 +115,66 @@ TEST(SimSession, StepsRetuneToTheSameResultAsFreshRuns) {
 }
 
 TEST(SimSession, MalformedDeckYieldsStructuredError) {
-  sp::SimSession session;
-  const Json doc = session.run_deck_text(
-      "v1 in 0 1\nr1 in out 1k\nr2 out\n.op\n.end\n");
-  ASSERT_FALSE(doc["ok"].as_bool());
-  const Json& err = doc["error"];
-  EXPECT_EQ(err["type"].as_string(), "parse");
-  EXPECT_EQ(err["line"].as_int(), 3);
-  EXPECT_EQ(err["line_text"].as_string(), "r2 out");
-  EXPECT_NE(err["reason"].as_string().find("R wants"), std::string::npos);
+  struct Case {
+    const char* deck;
+    int line;
+    const char* line_text;
+    const char* reason;
+  };
+  const Case cases[] = {
+      {"v1 in 0 1\nr1 in out 1k\nr2 out\n.op\n.end\n", 3, "r2 out",
+       "R wants"},
+      // Decks with no unknown to solve for.
+      {".title x\n.op\n.end\n", 0, "", "no circuit node"},
+      {"r1 0 0 1k\n.op\n.end\n", 0, "", "no circuit node"},
+      // A .probe of a node the circuit lacks.
+      {"v1 a 0 1\nr1 a 0 1k\n.probe v(zz)\n.op\n.end\n", 3,
+       ".probe v(zz)", "unknown node 'zz'"},
+      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.noise v(zz) v1 dec 10 1 1meg\n",
+       4, ".noise v(zz) v1 dec 10 1 1meg", "non-ground circuit node"},
+      // .ac/.noise grids no sweep can march: descending, starting at 0,
+      // no points per decade.
+      {"v1 a 0 dc 0 ac 1\nr1 a b 1k\nc1 b 0 1n\n.op\n.ac dec 10 1meg 1\n",
+       5, ".ac dec 10 1meg 1", "fstart < fstop"},
+      {"v1 a 0 dc 0 ac 1\nr1 a b 1k\nc1 b 0 1n\n.ac dec 10 0 1meg\n", 4,
+       ".ac dec 10 0 1meg", "fstart < fstop"},
+      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.noise v(b) v1 dec 0 1 1meg\n", 4,
+       ".noise v(b) v1 dec 0 1 1meg", "points per decade"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.deck);
+    sp::SimSession session;
+    const Json doc = session.run_deck_text(c.deck);
+    ASSERT_FALSE(doc["ok"].as_bool());
+    const Json& err = doc["error"];
+    EXPECT_EQ(err["type"].as_string(), "parse") << doc.dump(1);
+    EXPECT_EQ(err["line"].as_int(), c.line);
+    EXPECT_EQ(err["line_text"].as_string(), c.line_text);
+    EXPECT_NE(err["reason"].as_string().find(c.reason), std::string::npos)
+        << doc.dump(1);
+    // Client-visible text names the deck, never a server source file.
+    EXPECT_EQ(doc.dump().find("/src/"), std::string::npos) << doc.dump(1);
+  }
+}
+
+TEST(SimSession, FailedInstantiationLeavesNoCacheEntry) {
+  // The first deck's model does not resolve, so instantiating it fails;
+  // the second has the same topology and must instantiate afresh rather
+  // than hit an entry the failed deck left half made.
+  sp::ModelRegistry models;
+  models["nfet"] = std::make_shared<carbon::device::AlphaPowerModel>(
+      carbon::device::make_fig2_saturating_params());
+  sp::SimSession session(models);
+  const Json bad = session.run_deck_text("vdd d 0 1\nmn d d 0 mystery\n.op\n");
+  ASSERT_FALSE(bad["ok"].as_bool());
+  EXPECT_EQ(bad["error"]["type"].as_string(), "parse") << bad.dump(1);
+  EXPECT_EQ(bad["error"]["line"].as_int(), 2);
+  EXPECT_EQ(session.cache_entries(), 0u);
+
+  const Json good = session.run_deck_text("vdd d 0 1\nmn d d 0 nfet\n.op\n");
+  ASSERT_TRUE(good["ok"].as_bool()) << good.dump(1);
+  EXPECT_FALSE(good["topology"]["cache_hit"].as_bool());
+  EXPECT_EQ(session.cache_entries(), 1u);
 }
 
 TEST(SimSession, SolveFailureYieldsStructuredError) {

@@ -1,8 +1,9 @@
-// Small-signal subsystem: dense/sparse complex backend agreement on the
-// standard decks (RC ladder, diode ladder, FET amplifier chain), symbolic
-// analysis amortized across a sweep, adjoint-transfer consistency, and the
-// noise analysis against closed forms (4kTR divider, kT/C integrated
-// noise, diode shot noise, FET channel thermal and 1/f flicker).
+// Small-signal subsystem: the complex sparse engine against a test-local
+// dense reference on the standard decks (RC ladder, diode ladder, FET
+// amplifier chain), symbolic analysis amortized across a sweep,
+// adjoint-transfer consistency, and the noise analysis against closed
+// forms (4kTR divider, kT/C integrated noise, diode shot noise, FET channel
+// thermal and 1/f flicker).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,7 @@
 
 #include "circuit/cells.h"
 #include "device/alpha_power.h"
+#include "phys/linalg_complex.h"
 #include "phys/require.h"
 #include "spice/ac.h"
 #include "spice/analyses.h"
@@ -21,13 +23,14 @@ namespace {
 namespace sp = carbon::spice;
 namespace dev = carbon::device;
 namespace ckt_lib = carbon::circuit;
+using carbon::phys::Complex;
 
 constexpr double kBoltzmann = 1.380649e-23;
 constexpr double kQ = 1.602176634e-19;
 
 /// Common-source amplifier chain: per stage a resistor load, a FET whose
 /// gate taps the previous drain, and a load capacitor.  The FET deck of
-/// the dense/sparse agreement tests.
+/// the dense-reference tests.
 void build_fet_chain(sp::Circuit& ckt, int stages, sp::VSource** vg_out) {
   static auto model = std::make_shared<dev::AlphaPowerModel>(
       dev::make_fig2_saturating_params());
@@ -43,77 +46,106 @@ void build_fet_chain(sp::Circuit& ckt, int stages, sp::VSource** vg_out) {
   }
 }
 
-/// Max |dense - sparse| over the full solution vectors across a sweep,
-/// with both backends fed the SAME operating point.
-double backend_disagreement(sp::Circuit& ckt, sp::VSource& input,
-                            const std::vector<double>& x_dc, double f_start,
-                            double f_stop) {
+/// Test-local dense reference of the small-signal system at @p omega: the
+/// elements' captured G, C and stimulus values at @p x_dc summed into a
+/// dense G + jωC matrix and solved with phys::solve_dense_complex.
+std::vector<Complex> dense_ac_reference(const sp::Circuit& ckt,
+                                        const std::vector<double>& x_dc,
+                                        double omega) {
+  std::vector<sp::AcStampContext::CoordValue> g, c;
+  std::vector<sp::AcStampContext::RhsValue> b;
+  sp::AcStampContext cap;
+  cap.x_dc = &x_dc;
+  cap.cap_g = &g;
+  cap.cap_c = &c;
+  cap.cap_rhs = &b;
+  for (const auto& el : ckt.elements()) el->stamp_ac(cap);
+
+  const int n = ckt.num_unknowns();
+  carbon::phys::ComplexMatrix a(n, n);
+  for (const auto& e : g) {
+    if (e.row > 0 && e.col > 0) a(e.row - 1, e.col - 1) += e.value;
+  }
+  for (const auto& e : c) {
+    if (e.row > 0 && e.col > 0) {
+      a(e.row - 1, e.col - 1) += Complex{0.0, omega * e.value};
+    }
+  }
+  std::vector<Complex> rhs(n);
+  for (const auto& e : b) {
+    if (e.row > 0) rhs[e.row - 1] += e.value;
+  }
+  return carbon::phys::solve_dense_complex(a, rhs);
+}
+
+/// Max |engine - dense reference| over the full solution vectors across a
+/// sweep, both fed the SAME operating point.
+double reference_disagreement(sp::Circuit& ckt, sp::VSource& input,
+                              const std::vector<double>& x_dc, double f_start,
+                              double f_stop) {
   input.set_ac_magnitude(1.0);
-  sp::AcSystem dense, sparse;
-  dense.build(ckt, x_dc, sp::LinearBackend::kDense, 48);
-  sparse.build(ckt, x_dc, sp::LinearBackend::kSparse, 48);
-  EXPECT_FALSE(dense.is_sparse());
-  EXPECT_TRUE(sparse.is_sparse());
+  sp::AcSystem sys;
+  sys.build(ckt, x_dc);
 
   double worst = 0.0;
   for (const double f : sp::log_frequency_grid(f_start, f_stop, 4)) {
     const double w = 2.0 * M_PI * f;
-    EXPECT_TRUE(dense.assemble_factor(w));
-    EXPECT_TRUE(sparse.assemble_factor(w));
-    std::vector<carbon::phys::Complex> xd = dense.stimulus();
-    std::vector<carbon::phys::Complex> xs = sparse.stimulus();
-    dense.solve_in_place(xd);
-    sparse.solve_in_place(xs);
-    for (size_t i = 0; i < xd.size(); ++i) {
-      worst = std::max(worst, std::abs(xd[i] - xs[i]));
+    EXPECT_TRUE(sys.assemble_factor(w));
+    std::vector<Complex> x = sys.stimulus();
+    sys.solve_in_place(x);
+    const std::vector<Complex> ref = dense_ac_reference(ckt, x_dc, w);
+    for (size_t i = 0; i < x.size(); ++i) {
+      worst = std::max(worst, std::abs(x[i] - ref[i]));
     }
   }
   input.set_ac_magnitude(0.0);
   return worst;
 }
 
-// ------------------------------------------- dense/sparse backend agreement
+// ------------------------------------------------ dense-reference agreement
 
-TEST(AcBackends, RcLadderAgreesTo1em9) {
+TEST(AcSystem, RcLadderMatchesDenseReference) {
   auto bench = ckt_lib::make_rc_ladder(40, 1e3, 1e-15, 1.0);
   const sp::Solution sol = sp::operating_point(*bench.ckt);
-  EXPECT_LT(backend_disagreement(*bench.ckt, *bench.vin, sol.x, 1e5, 1e11),
+  EXPECT_LT(reference_disagreement(*bench.ckt, *bench.vin, sol.x, 1e5, 1e11),
             1e-9);
 }
 
-TEST(AcBackends, DiodeLadderAgreesTo1em9) {
+TEST(AcSystem, DiodeLadderMatchesDenseReference) {
   auto bench = ckt_lib::make_diode_ladder(20, 1e3, 1e-14, 2.0);
   const sp::Solution sol = sp::operating_point(*bench.ckt);
-  EXPECT_LT(backend_disagreement(*bench.ckt, *bench.vin, sol.x, 1e3, 1e9),
+  EXPECT_LT(reference_disagreement(*bench.ckt, *bench.vin, sol.x, 1e3, 1e9),
             1e-9);
 }
 
-TEST(AcBackends, FetChainAgreesTo1em9) {
+TEST(AcSystem, FetChainMatchesDenseReference) {
   sp::Circuit ckt;
   sp::VSource* vg = nullptr;
   build_fet_chain(ckt, 20, &vg);
   const sp::Solution sol = sp::operating_point(ckt);
-  EXPECT_LT(backend_disagreement(ckt, *vg, sol.x, 1e5, 1e11), 1e-9);
+  EXPECT_LT(reference_disagreement(ckt, *vg, sol.x, 1e5, 1e11), 1e-9);
 }
 
-TEST(AcBackends, SweepLevelAgreementOnLinearDeck) {
-  // Full ac_sweep through both backends on a linear deck (the operating
-  // point is backend-exact there): magnitudes agree to 1e-9.
-  auto run = [](sp::LinearBackend be) {
-    auto bench = ckt_lib::make_rc_ladder(30, 1e3, 1e-15, 1.0);
-    sp::AcOptions opt;
-    opt.f_start_hz = 1e5;
-    opt.f_stop_hz = 1e11;
-    opt.points_per_decade = 5;
-    opt.dc.backend = be;
-    return sp::ac_sweep(*bench.ckt, *bench.vin, {bench.out_node}, opt);
-  };
-  const auto d = run(sp::LinearBackend::kDense);
-  const auto s = run(sp::LinearBackend::kSparse);
-  ASSERT_EQ(d.num_rows(), s.num_rows());
-  for (int i = 0; i < d.num_rows(); ++i) {
-    EXPECT_NEAR(d.at(i, 1), s.at(i, 1), 1e-9) << "row " << i;
+TEST(AcSystem, SweepMatchesDenseReferenceOnLinearDeck) {
+  // A full ac_sweep table: every row's magnitude is the dense reference's
+  // at that frequency.
+  auto bench = ckt_lib::make_rc_ladder(30, 1e3, 1e-15, 1.0);
+  sp::AcOptions opt;
+  opt.f_start_hz = 1e5;
+  opt.f_stop_hz = 1e11;
+  opt.points_per_decade = 5;
+  const auto table =
+      sp::ac_sweep(*bench.ckt, *bench.vin, {bench.out_node}, opt);
+  const sp::Solution sol = sp::operating_point(*bench.ckt);
+  const int out = bench.ckt->find_node(bench.out_node);
+  bench.vin->set_ac_magnitude(1.0);
+  ASSERT_GT(table.num_rows(), 0);
+  for (int i = 0; i < table.num_rows(); ++i) {
+    const double w = 2.0 * M_PI * table.at(i, 0);
+    const std::vector<Complex> ref = dense_ac_reference(*bench.ckt, sol.x, w);
+    EXPECT_NEAR(table.at(i, 1), std::abs(ref[out - 1]), 1e-9) << "row " << i;
   }
+  bench.vin->set_ac_magnitude(0.0);
 }
 
 // ---------------------------------------------------------- symbolic reuse
@@ -124,8 +156,8 @@ TEST(AcSystem, SymbolicAnalysisAmortizedAcrossSweep) {
   bench.vin->set_ac_magnitude(1.0);
 
   sp::AcSystem sys;
-  sys.build(*bench.ckt, sol.x, sp::LinearBackend::kSparse, 48);
-  std::vector<carbon::phys::Complex> x;
+  sys.build(*bench.ckt, sol.x);
+  std::vector<Complex> x;
   for (const double f : sp::log_frequency_grid(1e3, 1e12, 10)) {
     ASSERT_TRUE(sys.assemble_factor(2.0 * M_PI * f));
     x = sys.stimulus();
@@ -136,25 +168,11 @@ TEST(AcSystem, SymbolicAnalysisAmortizedAcrossSweep) {
 
   // Rebuild for the same topology (re-biased sweep): the pattern and the
   // LU analysis survive; only values are refreshed.
-  sys.build(*bench.ckt, sol.x, sp::LinearBackend::kSparse, 48);
+  sys.build(*bench.ckt, sol.x);
   for (const double f : sp::log_frequency_grid(1e3, 1e12, 5)) {
     ASSERT_TRUE(sys.assemble_factor(2.0 * M_PI * f));
   }
   EXPECT_EQ(sys.analyze_count(), 1);
-}
-
-TEST(AcSystem, AutoSelectionMirrorsNewtonWorkspace) {
-  auto small = ckt_lib::make_rc_ladder(10, 1e3, 1e-15, 1.0);
-  const sp::Solution sol_s = sp::operating_point(*small.ckt);
-  sp::AcSystem sys_s;
-  sys_s.build(*small.ckt, sol_s.x, sp::LinearBackend::kAuto, 48);
-  EXPECT_FALSE(sys_s.is_sparse());
-
-  auto big = ckt_lib::make_rc_ladder(60, 1e3, 1e-15, 1.0);
-  const sp::Solution sol_b = sp::operating_point(*big.ckt);
-  sp::AcSystem sys_b;
-  sys_b.build(*big.ckt, sol_b.x, sp::LinearBackend::kAuto, 48);
-  EXPECT_TRUE(sys_b.is_sparse());
 }
 
 // ------------------------------------------------------------ adjoint solve
@@ -166,18 +184,18 @@ TEST(AcSystem, AdjointTransferMatchesForwardSolve) {
   const int out = ckt.find_node(bench.out_node);
 
   sp::AcSystem sys;
-  sys.build(ckt, sol.x, sp::LinearBackend::kSparse, 1);
+  sys.build(ckt, sol.x);
   ASSERT_TRUE(sys.assemble_factor(2.0 * M_PI * 1e6));
   const int n = sys.size();
 
   // Adjoint: y[j] = transfer from unit current at row j to V(out).
-  std::vector<carbon::phys::Complex> y(n);
+  std::vector<Complex> y(n);
   y[out - 1] = {1.0, 0.0};
   sys.solve_transpose_in_place(y);
 
   // Forward check at a handful of injection rows.
   for (const int row : {1, 4, 7, n - 1}) {
-    std::vector<carbon::phys::Complex> b(n);
+    std::vector<Complex> b(n);
     b[row] = {1.0, 0.0};
     sys.solve_in_place(b);
     EXPECT_LT(std::abs(b[out - 1] - y[row]), 1e-12) << "row " << row;

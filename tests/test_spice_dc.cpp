@@ -141,7 +141,7 @@ TEST(SpiceDc, WarmStartConvergesFaster) {
   ckt.add_fet("m1", "d", "g", "0", m);
   const auto cold = sp::operating_point(ckt);
   const auto warm = sp::operating_point(ckt, {}, &cold.x);
-  EXPECT_LE(warm.iterations, cold.iterations);
+  EXPECT_LE(warm.stats.iterations, cold.stats.iterations);
 }
 
 TEST(SpiceDc, SharedNewtonWorkspaceReproducesFreshSolves) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "circuit/cells.h"
 #include "circuit/sram.h"
@@ -286,11 +287,11 @@ void transient_ring_bench(benchmark::State& state, bool adaptive) {
   const spice::TransientOptions base =
       adaptive_pair_options(adaptive, kRingTStop, kRingDt, kRingPrint);
 
-  spice::TransientStats stats;
+  spice::SolveRecord stats;
   phys::DataTable tr;
   for (auto _ : state) {
     spice::TransientOptions opts = base;
-    opts.stats = &stats;
+    opts.solver.record = &stats;
     tr = run_ring_tran(tab, opts);
     benchmark::DoNotOptimize(tr);
   }
@@ -300,9 +301,9 @@ void transient_ring_bench(benchmark::State& state, bool adaptive) {
   const double p_ref = spice::oscillation_period(ref, "v(n0)", v_mid, 0);
   const double p_run = spice::oscillation_period(tr, "v(n0)", v_mid, 0);
   state.counters["newton_iters"] = static_cast<double>(stats.newton_iterations);
-  state.counters["device_evals"] = static_cast<double>(stats.evals.device_evals);
+  state.counters["device_evals"] = static_cast<double>(stats.device_evals);
   state.counters["device_bypasses"] =
-      static_cast<double>(stats.evals.device_bypasses);
+      static_cast<double>(stats.device_bypasses);
   state.counters["steps"] = static_cast<double>(stats.steps_accepted);
   state.counters["rms_v_vs_ref"] = waveform_rms(ref, tr, 1);
   state.counters["period_relerr"] = std::abs(p_run - p_ref) / p_ref;
@@ -326,20 +327,20 @@ void transient_sram_bench(benchmark::State& state, bool adaptive) {
   const spice::TransientOptions base =
       adaptive_pair_options(adaptive, kSramTStop, kSramDt, kSramPrint);
 
-  spice::TransientStats stats;
+  spice::SolveRecord stats;
   phys::DataTable tr;
   for (auto _ : state) {
     spice::TransientOptions opts = base;
-    opts.stats = &stats;
+    opts.solver.record = &stats;
     tr = run_sram_write_tran(tab, opts);
     benchmark::DoNotOptimize(tr);
   }
 
   const phys::DataTable& ref = sram_reference(tab);
   state.counters["newton_iters"] = static_cast<double>(stats.newton_iterations);
-  state.counters["device_evals"] = static_cast<double>(stats.evals.device_evals);
+  state.counters["device_evals"] = static_cast<double>(stats.device_evals);
   state.counters["device_bypasses"] =
-      static_cast<double>(stats.evals.device_bypasses);
+      static_cast<double>(stats.device_bypasses);
   state.counters["steps"] = static_cast<double>(stats.steps_accepted);
   state.counters["rms_v_vs_ref"] =
       std::max(waveform_rms(ref, tr, 1), waveform_rms(ref, tr, 2));
@@ -412,8 +413,8 @@ void BM_TransientRingScaleAdaptive(benchmark::State& state) {
   opts.lte_reltol = 1e-4;
   opts.lte_pi = true;
   opts.bypass_vtol = 1e-4;
-  spice::TransientStats stats;
-  opts.stats = &stats;
+  spice::SolveRecord stats;
+  opts.solver.record = &stats;
   for (auto _ : state) {
     benchmark::DoNotOptimize(spice::transient(*bench.ckt, opts, {"n0"}));
   }
@@ -428,9 +429,7 @@ void BM_TransientRingScaleAdaptive(benchmark::State& state) {
   // property; the counter makes it visible in bench trends too).
   state.counters["op_stage"] = static_cast<double>(stats.op.stage);
   state.counters["op_fallbacks"] =
-      static_cast<double>((stats.op.used_gmin_stepping ? 1 : 0) +
-                          (stats.op.used_source_stepping ? 1 : 0) +
-                          (stats.op.used_pseudo_transient ? 1 : 0));
+      stats.op.stage == spice::SolveStage::kNewton ? 0.0 : 1.0;
   state.SetComplexityN(stages);
 }
 BENCHMARK(BM_TransientRingScaleAdaptive)
@@ -456,8 +455,8 @@ void BM_TransientSramColumnAdaptive(benchmark::State& state) {
   opts.bypass_vtol = 1e-4;
   opts.dt_print = 8e-12;
   opts.ic = spice::TransientIc::kFromOperatingPoint;
-  spice::TransientStats stats;
-  opts.stats = &stats;
+  spice::SolveRecord stats;
+  opts.solver.record = &stats;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         spice::transient(*bench.ckt, opts, {"q0", "qb0"}));
@@ -533,7 +532,7 @@ void BM_EnsembleSramYield(benchmark::State& state) {
       base.workspace = &w->ws;
       spice::TransientOptions opt = tctx.tuned(base);
       spice::TrialMeasurement m;
-      opt.stats = &m.stats;
+      opt.solver.record = &m.stats;
       const auto tr = spice::transient(*w->bench.ckt, opt, {"q", "qb"});
       const double q_end = tr.at(tr.num_rows() - 1, 1);
       m.metric = q_end;
@@ -635,6 +634,10 @@ int main(int argc, char** argv) {
                               "debug"
 #endif
   );
+  // The pool width the parallel benchmarks ran at: run_bench.sh publishes
+  // no scaling figures from a one-thread run.
+  benchmark::AddCustomContext("carbon_threads",
+                              std::to_string(phys::default_num_threads()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

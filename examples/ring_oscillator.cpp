@@ -29,8 +29,8 @@ int main() {
     topt.lte_reltol = 1e-3;  // plotting-grade tolerance
     topt.dt_print = 2e-12;
     topt.bypass_vtol = 1e-4;
-    spice::TransientStats stats;
-    topt.stats = &stats;
+    spice::SolveRecord stats;
+    topt.solver.record = &stats;
     const auto tr = spice::transient(*bench.ckt, topt, {"n0"});
 
     double period = -1.0, f_ghz = 0.0, stage_delay_ps = 0.0;
@@ -53,8 +53,8 @@ int main() {
                 "rejects), %ld Newton iters, %ld FET evals + %ld bypassed\n",
                 stats.steps_accepted, stats.dt_smallest * 1e12,
                 stats.dt_largest * 1e12, stats.steps_rejected_lte,
-                stats.newton_iterations, stats.evals.device_evals,
-                stats.evals.device_bypasses);
+                stats.newton_iterations, stats.device_evals,
+                stats.device_bypasses);
   }
 
   std::printf("\n(period scales ~linearly with stage count: each stage "

@@ -103,11 +103,11 @@ ServerInstruments::ServerInstruments(obs::MetricsRegistry& m)
       cache_misses(m.counter("carbon_session_cache_total", "event=\"miss\"")),
       cache_evictions(
           m.counter("carbon_session_cache_total", "event=\"eviction\"")),
-      phase_stamp_ns(m.counter("carbon_phase_ns_total", "phase=\"stamp\"",
-                               "Solver phase time [ns], all workers")),
-      phase_eval_ns(m.counter("carbon_phase_ns_total", "phase=\"eval\"")),
-      phase_factor_ns(m.counter("carbon_phase_ns_total", "phase=\"factor\"")),
-      phase_solve_ns(m.counter("carbon_phase_ns_total", "phase=\"solve\"")) {}
+      phase_ns{&m.counter("carbon_phase_ns_total", "phase=\"stamp\"",
+                          "Solver phase time [ns], all workers"),
+               &m.counter("carbon_phase_ns_total", "phase=\"eval\""),
+               &m.counter("carbon_phase_ns_total", "phase=\"factor\""),
+               &m.counter("carbon_phase_ns_total", "phase=\"solve\"")} {}
 
 struct Server::WorkerState {
   WorkerState(obs::MetricsRegistry& m, int index)
@@ -123,7 +123,7 @@ struct Server::WorkerState {
   // What this worker already folded into the shared counters; worker-local
   // (single writer), so no atomics needed.
   spice::SessionCacheStats exported{};
-  obs::PhaseTimes exported_phases{};
+  spice::SolveRecord exported_phases{};
 };
 
 /// One in-flight request as the disconnect monitor sees it.
@@ -461,11 +461,10 @@ bool Server::handle_request(int fd, const std::string& line,
   inst_.cache_evictions.inc(cs.evictions - w.exported.evictions);
   w.entries.set(cs.entries);
   w.exported = cs;
-  const obs::PhaseTimes& pt = session.phase_times();
-  inst_.phase_stamp_ns.inc(pt.stamp_ns - w.exported_phases.stamp_ns);
-  inst_.phase_eval_ns.inc(pt.eval_ns - w.exported_phases.eval_ns);
-  inst_.phase_factor_ns.inc(pt.factor_ns - w.exported_phases.factor_ns);
-  inst_.phase_solve_ns.inc(pt.solve_ns - w.exported_phases.solve_ns);
+  const spice::SolveRecord& pt = session.phases();
+  for (int p = 0; p < spice::SolveRecord::kPhases; ++p) {
+    inst_.phase_ns[p]->inc(pt.phase_ns[p] - w.exported_phases.phase_ns[p]);
+  }
   w.exported_phases = pt;
 
   // Outcome accounting.  The latency record sits in the same branch as

@@ -46,6 +46,7 @@
 /// in-flight count, per-outcome counters and aggregated session-cache
 /// stats.
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -136,11 +137,9 @@ struct ServerInstruments {
   obs::Counter& cache_hits;
   obs::Counter& cache_misses;
   obs::Counter& cache_evictions;
-  // Solver phase-time totals [ns] across all workers (obs/phase.h split).
-  obs::Counter& phase_stamp_ns;
-  obs::Counter& phase_eval_ns;
-  obs::Counter& phase_factor_ns;
-  obs::Counter& phase_solve_ns;
+  // Solver phase-time totals [ns] across all workers, indexed by
+  // spice::SolveRecord::Phase.
+  std::array<obs::Counter*, 4> phase_ns;
 };
 
 class Server {

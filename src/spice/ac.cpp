@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "obs/trace.h"
 #include "phys/require.h"
 #include "spice/analyses.h"
 #include "spice/smallsignal.h"
@@ -43,9 +42,7 @@ phys::DataTable ac_sweep(Circuit& ckt, VSource& input,
   AcSystem& sys = opt.system ? *opt.system : local;
   sys.build(ckt, dc_sol.x);
 
-  obs::Tracer* const tr = obs::tracer();
-  obs::PhaseTimes* const ph = opt.dc.phases;
-  const bool timing = (ph != nullptr) || (tr != nullptr);
+  PhaseClock clock(opt.dc.record);
 
   std::vector<phys::Complex> x;
   std::vector<double> row;
@@ -53,21 +50,14 @@ phys::DataTable ac_sweep(Circuit& ckt, VSource& input,
     // Cooperative deadline/cancel poll, mirroring the Newton and transient
     // loops: a long sweep on a huge system stays bounded.
     if (opt.dc.cancel) opt.dc.cancel->throw_if_stopped("ac");
-    long long t0 = 0, t1 = 0;
-    if (timing) t0 = obs::now_ns();
+    clock.start();
     CARBON_REQUIRE(sys.assemble_factor(2.0 * M_PI * f),
                    "ac_sweep: singular small-signal system");
-    if (timing) {
-      t1 = obs::now_ns();
-      if (ph) ph->factor_ns += t1 - t0;
-    }
+    clock.lap(SolveRecord::kFactor);
     x = sys.stimulus();
     sys.solve_in_place(x);
-    if (timing) {
-      const long long t2 = obs::now_ns();
-      if (ph) ph->solve_ns += t2 - t1;
-      if (tr) tr->span("ac-point", t0, t2 - t0);
-    }
+    clock.lap(SolveRecord::kSolve);
+    clock.span_since_start("ac-point");
 
     row.clear();
     row.push_back(f);

@@ -91,6 +91,64 @@ SolveFailureError::SolveFailureError(SolveFailure failure)
     : phys::ConvergenceError(failure.to_string()),
       failure_(std::move(failure)) {}
 
+const char* solve_cause_name(SolveFailure::Cause cause) {
+  switch (cause) {
+    case SolveFailure::Cause::kMaxIterations: return "max-iterations";
+    case SolveFailure::Cause::kSingular: return "singular";
+    case SolveFailure::Cause::kNonFinite: return "non-finite";
+    case SolveFailure::Cause::kStalled: return "stalled";
+  }
+  return "?";
+}
+
+core::Json to_json(const SolveFailure& failure) {
+  auto j = core::Json::object();
+  j.set("stage", solve_stage_name(failure.stage));
+  j.set("cause", solve_cause_name(failure.cause));
+  j.set("bad_row", failure.bad_row);
+  j.set("culprit", failure.culprit);
+  auto worst = core::Json::array();
+  for (const auto& n : failure.worst_nodes) {
+    worst.push(core::Json::object().set("node", n.node).set("ratio", n.ratio));
+  }
+  j.set("worst_nodes", std::move(worst));
+  auto osc = core::Json::array();
+  for (const auto& n : failure.oscillating_nodes) osc.push(n);
+  j.set("oscillating_nodes", std::move(osc));
+  return j;
+}
+
+core::Json to_json(const NewtonStats& stats) {
+  auto j = core::Json::object();
+  j.set("stage", solve_stage_name(stats.stage));
+  j.set("iterations", stats.iterations);
+  j.set("gmin_rungs", stats.gmin_rungs);
+  j.set("gmin_backtracks", stats.gmin_backtracks);
+  j.set("source_rungs", stats.source_rungs);
+  j.set("source_backtracks", stats.source_backtracks);
+  j.set("ptc_steps", stats.ptc_steps);
+  j.set("ptc_rejections", stats.ptc_rejections);
+  j.set("used_gmin_stepping", stats.stage == SolveStage::kGminStepping);
+  j.set("used_source_stepping", stats.stage == SolveStage::kSourceStepping);
+  j.set("used_pseudo_transient", stats.stage == SolveStage::kPseudoTransient);
+  return j;
+}
+
+core::Json to_json(const SolveRecord& record) {
+  auto j = core::Json::object();
+  j.set("steps_accepted", record.steps_accepted);
+  j.set("steps_rejected_lte", record.steps_rejected_lte);
+  j.set("steps_rejected_newton", record.steps_rejected_newton);
+  j.set("newton_iterations", record.newton_iterations);
+  j.set("breakpoints_hit", record.breakpoints_hit);
+  j.set("jacobian_reuses", record.jacobian_reuses);
+  j.set("orchestrator_recoveries", record.orchestrator_recoveries);
+  j.set("dt_smallest", record.dt_smallest);
+  j.set("dt_largest", record.dt_largest);
+  j.set("op", to_json(record.op));
+  return j;
+}
+
 /// One full Newton–Raphson solve at fixed gmin / source scale, on a
 /// caller-provided workspace.  The loop body is allocation-free when diag
 /// is null: every element stamps through its pre-resolved slot table, the
@@ -139,12 +197,9 @@ bool newton_solve(Circuit& ckt, std::vector<double>& x,
   }
 
   // Observability hooks, hoisted out of the loop: one TLS load for the
-  // tracer and one pointer copy for the phase accumulator per solve.  When
-  // both are null (the default) the iteration body performs two null
-  // checks and zero clock reads.
-  obs::Tracer* const tr = obs::tracer();
-  obs::PhaseTimes* const ph = opts.phases;
-  const bool timing = (ph != nullptr) || (tr != nullptr);
+  // tracer per solve.  Unobserved (the default), the iteration body reads
+  // no clock.
+  PhaseClock clock(opts.record);
   obs::ScopedSpan solve_span("newton-solve");
 
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
@@ -154,17 +209,14 @@ bool newton_solve(Circuit& ckt, std::vector<double>& x,
     // ladder unwinds instead of treating it as a failed rung.
     if (opts.cancel) opts.cancel->throw_if_stopped("newton");
 
-    long long t_iter0 = 0, t_stamp1 = 0, t_factor1 = 0;
-    const long long eval0 = ph ? ph->eval_ns : 0;
-    if (timing) t_iter0 = obs::now_ns();
-
+    clock.start();
     ws.mna.restore_baseline();
 
     StampContext ctx = proto;
     ctx.x = &x;
     ctx.gmin = gmin;
     ctx.source_scale = source_scale;
-    ctx.phases = ph;
+    ctx.record = opts.record;
     try {
       ws.mna.stamp_all(ckt, ctx);
     } catch (const NonFiniteEvalError& e) {
@@ -176,14 +228,9 @@ bool newton_solve(Circuit& ckt, std::vector<double>& x,
       return false;
     }
     if (ptc_geq > 0.0) ws.mna.add_node_shunts(ptc_geq, *ptc_ref);
-
-    if (timing) {
-      t_stamp1 = obs::now_ns();
-      // stamp_all charged the dynamic elements' model-eval time to
-      // eval_ns; the stamp phase is the assembly remainder.
-      if (ph) ph->stamp_ns += (t_stamp1 - t_iter0) - (ph->eval_ns - eval0);
-      if (tr) tr->span("stamp", t_iter0, t_stamp1 - t_iter0);
-    }
+    // stamp_all charged the dynamic elements' model-eval time to kEval;
+    // the stamp phase is the assembly remainder.
+    clock.lap(SolveRecord::kStamp, "stamp");
 
     if (!ws.mna.factor()) {
       if (diag) {
@@ -197,21 +244,11 @@ bool newton_solve(Circuit& ckt, std::vector<double>& x,
       }
       return false;  // singular/non-finite at this homotopy rung
     }
-    if (timing) {
-      t_factor1 = obs::now_ns();
-      if (ph) ph->factor_ns += t_factor1 - t_stamp1;
-      if (tr) tr->span("factor", t_stamp1, t_factor1 - t_stamp1);
-    }
+    clock.lap(SolveRecord::kFactor, "factor");
     ws.mna.copy_rhs(ws.x_new);
     ws.mna.solve_in_place(ws.x_new);
-    if (timing) {
-      const long long t_solve1 = obs::now_ns();
-      if (ph) ph->solve_ns += t_solve1 - t_factor1;
-      if (tr) {
-        tr->span("solve", t_factor1, t_solve1 - t_factor1);
-        tr->span("newton-iter", t_iter0, t_solve1 - t_iter0);
-      }
-    }
+    clock.lap(SolveRecord::kSolve, "solve");
+    clock.span_since_start("newton-iter");
 
     // A finite factorization can still overflow in the substitution when
     // the pivots sit right at the singularity floor; reject the update
@@ -529,7 +566,6 @@ NewtonStats ConvergenceOrchestrator::solve(std::vector<double>& x,
     x = x0;
     if (gmin_ramp(x, proto)) {
       stats_.stage = SolveStage::kGminStepping;
-      stats_.used_gmin_stepping = true;
       return stats_;
     }
     merge_failure(SolveStage::kGminStepping, SolveFailure::Cause::kStalled);
@@ -540,7 +576,6 @@ NewtonStats ConvergenceOrchestrator::solve(std::vector<double>& x,
     if (tr) tr->instant("ladder:source-stepping", obs::now_ns());
     if (source_ramp(x, proto)) {
       stats_.stage = SolveStage::kSourceStepping;
-      stats_.used_source_stepping = true;
       return stats_;
     }
     merge_failure(SolveStage::kSourceStepping, SolveFailure::Cause::kStalled);
@@ -552,7 +587,6 @@ NewtonStats ConvergenceOrchestrator::solve(std::vector<double>& x,
     x = x0;
     if (pseudo_transient(x, proto)) {
       stats_.stage = SolveStage::kPseudoTransient;
-      stats_.used_pseudo_transient = true;
       return stats_;
     }
     merge_failure(SolveStage::kPseudoTransient, SolveFailure::Cause::kStalled);
@@ -739,7 +773,7 @@ class TransientRecorder {
   std::vector<double> row_;
 };
 
-void note_accepted_step(TransientStats& st, double h) {
+void note_accepted_step(SolveRecord& st, double h) {
   ++st.steps_accepted;
   st.dt_smallest =
       st.dt_smallest == 0.0 ? h : std::min(st.dt_smallest, h);
@@ -768,7 +802,9 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
   NewtonWorkspace local_ws;
   NewtonWorkspace& ws = opts.workspace ? *opts.workspace : local_ws;
 
-  // Initial condition: DC operating point with sources at t=0.
+  // Initial condition: DC operating point with sources at t=0.  Factor
+  // skips are counted from here: the workspace may be shared across runs.
+  const long skips0 = ws.mna.factor_skip_count();
   Solution sol = operating_point(ckt, opts.solver, nullptr, &ws);
   std::vector<double> x = sol.x;
   std::vector<double> x_try, x_pred;
@@ -788,10 +824,14 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
     for (const auto& el : ckt.elements()) el->set_transient_ic(ic_ctx);
   }
 
-  TransientStats local_stats;
-  TransientStats& st = opts.stats ? *opts.stats : local_stats;
-  st = TransientStats{};
-  st.op = sol.stats;
+  // The run counters start from zero; the phase split accumulates on.
+  SolveRecord local_record;
+  SolveRecord& st = opts.solver.record ? *opts.solver.record : local_record;
+  SolveRecord run;
+  run.collect_phases = st.collect_phases;
+  run.phase_ns = st.phase_ns;
+  run.op = sol.stats;
+  st = run;
 
   TransientRecorder rec(table, probe_ids, branch_rows, opts.dt_print);
   rec.initial(x);
@@ -800,7 +840,6 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
   StampContext proto_base;
   proto_base.transient = true;
   proto_base.bypass_vtol = opts.bypass_vtol;
-  proto_base.counters = &st.evals;
 
   double t = 0.0;
 
@@ -862,7 +901,7 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
       }
     }
     rec.finish(t, x);
-    st.jacobian_reuses = ws.mna.factor_skip_count();
+    st.jacobian_reuses = ws.mna.factor_skip_count() - skips0;
     return table;
   }
 
@@ -1002,7 +1041,7 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
     }
   }
   rec.finish(opts.t_stop, x);
-  st.jacobian_reuses = ws.mna.factor_skip_count();
+  st.jacobian_reuses = ws.mna.factor_skip_count() - skips0;
   return table;
 }
 

@@ -9,11 +9,13 @@
 /// nodes by name, oscillation/singularity culprits), never as silent NaNs
 /// or a bare boolean.
 
+#include <array>
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "obs/phase.h"
+#include "core/report.h"
+#include "obs/trace.h"
 #include "phys/cancel.h"
 #include "phys/require.h"
 #include "phys/table.h"
@@ -21,6 +23,8 @@
 #include "spice/mna.h"
 
 namespace carbon::spice {
+
+struct SolveRecord;
 
 /// Newton solver options.
 struct SolverOptions {
@@ -59,12 +63,11 @@ struct SolverOptions {
   /// wedging the thread.  Not owned; must outlive the solve.
   const phys::CancelToken* cancel = nullptr;
 
-  /// Optional phase-time accumulator (stamp/eval/factor/solve split, see
-  /// obs/phase.h).  Null (the default) keeps the hot path free of clock
-  /// reads; non-null adds a handful of steady_clock samples per Newton
-  /// iteration.  Not owned; must outlive the solve.  Single-threaded:
-  /// parallel trials need one accumulator per worker.
-  obs::PhaseTimes* phases = nullptr;
+  /// Optional record of the solve's own work (see SolveRecord); every
+  /// analysis copies it into the StampContexts it builds.  Not owned; must
+  /// outlive the solve.  Single-threaded: parallel trials need one record
+  /// each.
+  SolveRecord* record = nullptr;
 };
 
 /// Stage of the convergence escalation ladder.
@@ -130,10 +133,108 @@ struct NewtonStats {
   int source_backtracks = 0; ///< source rungs that failed and backed off
   long ptc_steps = 0;        ///< accepted pseudo-transient steps
   long ptc_rejections = 0;   ///< pseudo-steps rejected (Newton failure)
-  bool used_gmin_stepping = false;
-  bool used_source_stepping = false;
-  bool used_pseudo_transient = false;
 };
+
+/// Everything one solve reports about its own work, reached through
+/// SolverOptions::record (and StampContext::record inside the stamps).
+/// transient() fills the run counters, zeroing them after its initial
+/// operating point so they describe one run's time steps; the dynamic
+/// stamps count device evals and bypasses; and while collect_phases is set
+/// the solve loops add their wall time to the phase split, which
+/// accumulates over every solve the record is attached to.
+struct SolveRecord {
+  /// Time the phases: a few steady_clock samples per Newton iteration and
+  /// two per dynamic element stamp.  Off (the default) reads no clock.
+  bool collect_phases = false;
+
+  NewtonStats op;                  ///< initial operating-point ladder stats
+  long steps_accepted = 0;
+  long steps_rejected_lte = 0;     ///< LTE-controller rejections (adaptive)
+  long steps_rejected_newton = 0;  ///< nonconvergence retries
+  long newton_iterations = 0;      ///< total NR iterations, incl. rejected
+  long breakpoints_hit = 0;        ///< source corners stepped onto exactly
+  long jacobian_reuses = 0;        ///< this run's factor() calls served by
+                                   ///< the identical-Jacobian (Shamanskii)
+                                   ///< fast path of MnaSystem
+  long orchestrator_recoveries = 0;///< dt_min Newton collapses recovered by
+                                   ///< re-entering the escalation ladder
+  double dt_smallest = 0.0;        ///< smallest accepted step [s]
+  double dt_largest = 0.0;         ///< largest accepted step [s]
+  long device_evals = 0;           ///< compact-model eval() calls issued
+  long device_bypasses = 0;        ///< stamps served from the quiescent cache
+
+  enum Phase {
+    kStamp,   ///< baseline restore + matrix/RHS assembly, minus eval
+    kEval,    ///< device evaluation inside the dynamic stamps
+    kFactor,  ///< LU factorization (numeric refactor; skips excluded)
+    kSolve,   ///< back-substitution of the factored system
+    kPhases
+  };
+  static constexpr const char* kPhaseNames[kPhases] = {"stamp", "eval",
+                                                       "factor", "solve"};
+  std::array<long long, kPhases> phase_ns{};  ///< phase split [ns]
+
+  long long phase_total() const {
+    return phase_ns[kStamp] + phase_ns[kEval] + phase_ns[kFactor] +
+           phase_ns[kSolve];
+  }
+};
+
+/// The clock of the solve loops.  lap() charges the time since the last
+/// mark to a SolveRecord phase, minus what nested laps charged meanwhile
+/// (the Newton stamp lap thus excludes the eval time stamp_all charges per
+/// dynamic element), and emits it as a tracer span.  The clock is read
+/// only when the record collects phases or a tracer is attached.
+class PhaseClock {
+ public:
+  /// @p traced = false: time into @p rec only, never for a tracer.
+  explicit PhaseClock(SolveRecord* rec, bool traced = true)
+      : rec_(rec && rec->collect_phases ? rec : nullptr),
+        tr_(traced ? obs::tracer() : nullptr) {}
+
+  bool on() const { return rec_ || tr_; }
+
+  /// Open a lap sequence (one Newton iteration, one frequency point).
+  void start() {
+    if (!on()) return;
+    t_start_ = t_ = obs::now_ns();
+    if (rec_) charged_ = rec_->phase_total();
+  }
+
+  /// Close a lap: charge it to @p phase; with a tracer, record @p span.
+  void lap(SolveRecord::Phase phase, const char* span = nullptr) {
+    if (!on()) return;
+    const long long t = obs::now_ns();
+    if (rec_) {
+      rec_->phase_ns[phase] += (t - t_) - (rec_->phase_total() - charged_);
+      charged_ = rec_->phase_total();
+    }
+    if (tr_ && span) tr_->span(span, t_, t - t_);
+    t_ = t;
+  }
+
+  /// Record span @p name from start() to the last lap.
+  void span_since_start(const char* name) const {
+    if (tr_) tr_->span(name, t_start_, t_ - t_start_);
+  }
+
+ private:
+  SolveRecord* rec_;
+  obs::Tracer* tr_;
+  long long t_start_ = 0, t_ = 0, charged_ = 0;
+};
+
+/// Machine-readable reports (core::Json; objects keep field order), the
+/// structured siblings of SolveFailure::to_string().  A SolveRecord renders
+/// as a transient's stats block: run counters but no evals or phases.
+core::Json to_json(const SolveFailure& failure);
+core::Json to_json(const NewtonStats& stats);
+core::Json to_json(const SolveRecord& record);
+
+/// Short cause tag ("max-iterations", "singular", "non-finite",
+/// "stalled") — the machine-readable sibling of the prose used in
+/// SolveFailure::to_string().
+const char* solve_cause_name(SolveFailure::Cause cause);
 
 /// Converged solution plus metadata.
 struct Solution {
@@ -280,26 +381,6 @@ phys::DataTable dc_sweep(Circuit& ckt, VSource& swept,
                          const SolverOptions& opts = {},
                          NewtonWorkspace* ws = nullptr);
 
-/// Instrumentation of one transient run (optional; attach via
-/// TransientOptions::stats).  The adaptive/fixed benchmark pair and the CI
-/// smoke job compare these counters at matched waveform accuracy.
-struct TransientStats {
-  long steps_accepted = 0;
-  long steps_rejected_lte = 0;     ///< LTE-controller rejections (adaptive)
-  long steps_rejected_newton = 0;  ///< nonconvergence retries
-  long newton_iterations = 0;      ///< total NR iterations, incl. rejected
-  long breakpoints_hit = 0;        ///< source corners stepped onto exactly
-  long jacobian_reuses = 0;        ///< factor() calls served by the
-                                   ///< identical-Jacobian (Shamanskii)
-                                   ///< fast path of MnaSystem
-  double dt_smallest = 0.0;        ///< smallest accepted step [s]
-  double dt_largest = 0.0;         ///< largest accepted step [s]
-  EvalCounters evals;              ///< FET/diode eval()/bypass accounting
-  NewtonStats op;                  ///< initial operating-point ladder stats
-  long orchestrator_recoveries = 0;///< dt_min Newton collapses recovered by
-                                   ///< re-entering the escalation ladder
-};
-
 /// How the transient initializes energy-storage elements.
 enum class TransientIc {
   /// Capacitors start from their construction-time v_init (the seed
@@ -354,7 +435,8 @@ struct TransientOptions {
   double dt_print = 0.0;
 
   TransientIc ic = TransientIc::kFromInit;
-  TransientStats* stats = nullptr;  ///< optional out-param
+  /// solver.record (optional) receives the run counters, which the
+  /// adaptive/fixed benchmark pair compares at matched accuracy.
   SolverOptions solver;
 
   /// Optional caller-owned Newton workspace.  An ensemble worker that

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "phys/require.h"
+#include "spice/analyses.h"  // SolveRecord
 
 namespace carbon::spice {
 
@@ -262,7 +263,7 @@ void Diode::stamp(const StampContext& ctx) const {
     i0 = i0_cache_;
     g_exp = g_cache_;
     v_lin = vlim_cache_;
-    if (ctx.counters) ++ctx.counters->device_bypasses;
+    if (ctx.record) ++ctx.record->device_bypasses;
   } else {
     v_lin = evaluate(v_raw, &i0, &g_exp);
     if (!std::isfinite(i0) || !std::isfinite(g_exp)) {
@@ -275,7 +276,7 @@ void Diode::stamp(const StampContext& ctx) const {
     i0_cache_ = i0;
     g_cache_ = g_exp;
     cache_valid_ = true;
-    if (ctx.counters) ++ctx.counters->device_evals;
+    if (ctx.record) ++ctx.record->device_evals;
   }
 
   const double g = std::max(g_exp, ctx.gmin);
@@ -349,7 +350,7 @@ void Fet::stamp(const StampContext& ctx) const {
     e = eval_cache_;
     vgs_lin = vgs_cache_;
     vds_lin = vds_cache_;
-    if (ctx.counters) ++ctx.counters->device_bypasses;
+    if (ctx.record) ++ctx.record->device_bypasses;
   } else {
     // One eval() gives current and both conductances — a single table
     // lookup for tabulated models, a finite-difference fallback otherwise.
@@ -364,7 +365,7 @@ void Fet::stamp(const StampContext& ctx) const {
     vgs_cache_ = vgs;
     vds_cache_ = vds;
     cache_valid_ = true;
-    if (ctx.counters) ++ctx.counters->device_evals;
+    if (ctx.record) ++ctx.record->device_evals;
   }
   const double id0 = mult_ * e.id;
   const double gm = mult_ * e.gm;

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "device/ivmodel.h"
-#include "obs/phase.h"
 #include "phys/linalg_complex.h"
 #include "phys/require.h"
 #include "spice/waveform.h"
@@ -37,13 +36,7 @@ class NonFiniteEvalError : public phys::ConvergenceError {
   std::string element_;
 };
 
-/// Device-evaluation accounting for a transient run (quiescent-device
-/// bypass diagnostics).  Attached to a StampContext by the analysis; null
-/// when nobody is counting.
-struct EvalCounters {
-  long device_evals = 0;     ///< compact-model eval() calls issued
-  long device_bypasses = 0;  ///< stamps served from the quiescent cache
-};
+struct SolveRecord;  // analyses.h
 
 /// Everything an element needs to stamp itself.
 ///
@@ -75,11 +68,10 @@ struct StampContext {
   /// voltages moved less than this since its last eval() reuse the cached
   /// {id, gm, gds} stamp.  0 disables the bypass (every stamp evaluates).
   double bypass_vtol = 0.0;
-  /// Optional eval/bypass accounting (owned by the analysis driver).
-  EvalCounters* counters = nullptr;
-  /// Optional phase-time accumulator (obs/phase.h); stamp_all charges the
-  /// dynamic elements' stamp() time to eval_ns when non-null.
-  obs::PhaseTimes* phases = nullptr;
+  /// Optional solve record (SolverOptions::record): nonlinear stamps count
+  /// their device evals and bypasses into it, and stamp_all charges the
+  /// dynamic elements' stamp() time to its eval phase.
+  SolveRecord* record = nullptr;
 
   /// When true, add_jac advances the slot cursor without writing: set by
   /// MnaSystem::stamp_all for elements whose Jacobian footprint is constant

@@ -270,16 +270,6 @@ class Checkpoint {
 
 }  // namespace
 
-const char* solve_cause_name(SolveFailure::Cause cause) {
-  switch (cause) {
-    case SolveFailure::Cause::kMaxIterations: return "max-iterations";
-    case SolveFailure::Cause::kSingular: return "singular";
-    case SolveFailure::Cause::kNonFinite: return "non-finite";
-    case SolveFailure::Cause::kStalled: return "stalled";
-  }
-  return "?";
-}
-
 const char* trial_outcome_name(TrialOutcome outcome) {
   switch (outcome) {
     case TrialOutcome::kOk: return "ok";
@@ -508,54 +498,6 @@ EnsembleResult EnsembleRunner::run(long num_trials,
       opts_.num_threads > 0 ? opts_.num_threads : phys::default_num_threads();
   s.wall_s = static_cast<double>(elapsed_ns(t_start)) * 1e-9;
   return res;
-}
-
-core::Json to_json(const SolveFailure& failure) {
-  auto j = core::Json::object();
-  j.set("stage", solve_stage_name(failure.stage));
-  j.set("cause", solve_cause_name(failure.cause));
-  j.set("bad_row", failure.bad_row);
-  j.set("culprit", failure.culprit);
-  auto worst = core::Json::array();
-  for (const auto& n : failure.worst_nodes) {
-    worst.push(core::Json::object().set("node", n.node).set("ratio", n.ratio));
-  }
-  j.set("worst_nodes", std::move(worst));
-  auto osc = core::Json::array();
-  for (const auto& n : failure.oscillating_nodes) osc.push(n);
-  j.set("oscillating_nodes", std::move(osc));
-  return j;
-}
-
-core::Json to_json(const NewtonStats& stats) {
-  auto j = core::Json::object();
-  j.set("stage", solve_stage_name(stats.stage));
-  j.set("iterations", stats.iterations);
-  j.set("gmin_rungs", stats.gmin_rungs);
-  j.set("gmin_backtracks", stats.gmin_backtracks);
-  j.set("source_rungs", stats.source_rungs);
-  j.set("source_backtracks", stats.source_backtracks);
-  j.set("ptc_steps", stats.ptc_steps);
-  j.set("ptc_rejections", stats.ptc_rejections);
-  j.set("used_gmin_stepping", stats.used_gmin_stepping);
-  j.set("used_source_stepping", stats.used_source_stepping);
-  j.set("used_pseudo_transient", stats.used_pseudo_transient);
-  return j;
-}
-
-core::Json to_json(const TransientStats& stats) {
-  auto j = core::Json::object();
-  j.set("steps_accepted", stats.steps_accepted);
-  j.set("steps_rejected_lte", stats.steps_rejected_lte);
-  j.set("steps_rejected_newton", stats.steps_rejected_newton);
-  j.set("newton_iterations", stats.newton_iterations);
-  j.set("breakpoints_hit", stats.breakpoints_hit);
-  j.set("jacobian_reuses", stats.jacobian_reuses);
-  j.set("orchestrator_recoveries", stats.orchestrator_recoveries);
-  j.set("dt_smallest", stats.dt_smallest);
-  j.set("dt_largest", stats.dt_largest);
-  j.set("op", to_json(stats.op));
-  return j;
 }
 
 core::Json to_json(const TrialResult& result) {

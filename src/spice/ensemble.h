@@ -48,11 +48,6 @@
 
 namespace carbon::spice {
 
-/// Short cause tag ("max-iterations", "singular", "non-finite",
-/// "stalled") — the machine-readable sibling of the prose used in
-/// SolveFailure::to_string().
-const char* solve_cause_name(SolveFailure::Cause cause);
-
 /// Terminal disposition of one trial.
 enum class TrialOutcome : int {
   kOk = 0,        ///< the trial function returned a measurement
@@ -69,7 +64,7 @@ const char* trial_outcome_name(TrialOutcome outcome);
 struct TrialMeasurement {
   double metric = 0.0;   ///< scalar figure of the trial (e.g. final v(q))
   bool pass = false;     ///< the yield criterion
-  TransientStats stats;  ///< work accounting of the successful attempt
+  SolveRecord stats;     ///< work accounting of the successful attempt
 };
 
 /// One trial's structured record — failure or success, every trial gets
@@ -85,7 +80,7 @@ struct TrialResult {
   bool from_checkpoint = false;  ///< loaded, not recomputed, this run
   SolveFailure failure;       ///< structured ladder report (solve failures)
   std::string error;          ///< exception message (non-ok outcomes)
-  TransientStats stats;       ///< work accounting of the successful attempt
+  SolveRecord stats;          ///< work accounting of the successful attempt
 
   /// Taxonomy bucket, e.g. "ok", "solve-failure/gmin-stepping/singular",
   /// "timed-out" — the key the batch summary histograms failures under.
@@ -209,12 +204,8 @@ class EnsembleRunner {
 };
 
 /// Machine-readable reports (core::Json; objects keep field order, doubles
-/// round-trip via %.17g).  These are the structured siblings of
-/// SolveFailure::to_string() — a yield dashboard or CI gate consumes the
-/// JSON, a human reads the prose.
-core::Json to_json(const SolveFailure& failure);
-core::Json to_json(const NewtonStats& stats);
-core::Json to_json(const TransientStats& stats);
+/// round-trip via %.17g) — a yield dashboard or CI gate consumes the JSON.
+/// A trial's stats and failure render as in analyses.h.
 core::Json to_json(const TrialResult& result);
 core::Json to_json(const EnsembleSummary& summary);
 /// Full batch report: {"summary": ..., "trials": [...]}.

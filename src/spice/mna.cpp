@@ -6,6 +6,7 @@
 
 #include "obs/trace.h"
 #include "phys/require.h"
+#include "spice/analyses.h"  // SolveRecord, PhaseClock
 
 namespace carbon::spice {
 
@@ -157,7 +158,7 @@ void MnaSystem::stamp_all(const Circuit& ckt, StampContext& ctx) {
                  "MnaSystem stamped with a foreign circuit");
   ctx.capture_jac = nullptr;
   ctx.capture_rhs = nullptr;
-  obs::PhaseTimes* const ph = ctx.phases;
+  PhaseClock eval_clock(ctx.record, /*traced=*/false);
   const auto& elements = ckt.elements();
   for (size_t e = 0; e < elements.size(); ++e) {
     const StampMode mode = stamp_mode_[e];
@@ -173,15 +174,12 @@ void MnaSystem::stamp_all(const Circuit& ckt, StampContext& ctx) {
     ctx.debug_jac_count = jac_off_[e + 1] - jac_off_[e];
     ctx.debug_rhs_count = rhs_off_[e + 1] - rhs_off_[e];
 #endif
-    if (ph && mode == StampMode::kDynamic) {
-      // Dynamic elements are the device-eval phase; static-RHS sources and
-      // baseline elements are assembly bookkeeping and stay in stamp_ns.
-      const long long t0 = obs::now_ns();
-      elements[e]->stamp(ctx);
-      ph->eval_ns += obs::now_ns() - t0;
-    } else {
-      elements[e]->stamp(ctx);
-    }
+    // Dynamic elements are the device-eval phase; static-RHS sources and
+    // baseline elements are assembly bookkeeping and stay in kStamp.
+    const bool dynamic = mode == StampMode::kDynamic;
+    if (dynamic) eval_clock.start();
+    elements[e]->stamp(ctx);
+    if (dynamic) eval_clock.lap(SolveRecord::kEval);
   }
   ctx.jac_slots = nullptr;
   ctx.rhs_slots = nullptr;

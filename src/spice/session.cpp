@@ -9,7 +9,6 @@
 
 #include "obs/trace.h"
 #include "phys/require.h"
-#include "spice/ensemble.h"  // to_json(SolveFailure / NewtonStats / ...)
 #include "spice/measure.h"
 
 namespace carbon::spice {
@@ -457,8 +456,6 @@ class StepRunner {
     topt.ic = TransientIc::kFromOperatingPoint;
     topt.solver = cfg_.solver;
     topt.workspace = &ws_;
-    TransientStats stats;
-    topt.stats = &stats;
     for (const auto& [k, v] : card.options) {
       if (k == "fixed") {
         topt.adaptive = eval_in_env(v, card.line_no, card.line) == 0.0;
@@ -495,7 +492,7 @@ class StepRunner {
     }
     phys::DataTable table =
         transient(ckt_, topt, voltage_probes("tran"), current_probes);
-    out.set("stats", to_json(stats));
+    out.set("stats", to_json(*topt.solver.record));
     if (emit_tables()) {
       out.set("table", table_json(table, session_opts_.max_table_rows));
     }
@@ -753,8 +750,9 @@ core::Json SimSession::run_deck(const Deck& deck,
   ++entry.uses;
   DeckConfig cfg = config_from(deck);
   cfg.solver.cancel = cancel;  // polled by every Newton/transient/AC loop
-  obs::PhaseTimes deck_phases;
-  if (opts_.collect_phases) cfg.solver.phases = &deck_phases;
+  SolveRecord record;
+  record.collect_phases = opts_.collect_phases;
+  cfg.solver.record = &record;
 
   auto doc = core::Json::object();
   doc.set("ok", true);
@@ -802,16 +800,15 @@ core::Json SimSession::run_deck(const Deck& deck,
   session.set("mna_pattern_builds", entry.workspace.mna.build_count());
   session.set("symbolic_analyses", entry.workspace.mna.analyze_count());
   session.set("ac_symbolic_analyses", entry.ac.analyze_count());
-  if (deck_phases.any()) {
+  if (record.phase_total() != 0) {
     // Only present when phase collection ran and measured something, so
     // default-session documents stay byte-identical to earlier releases.
     auto phase = core::Json::object();
-    phase.set("stamp", deck_phases.stamp_ns);
-    phase.set("eval", deck_phases.eval_ns);
-    phase.set("factor", deck_phases.factor_ns);
-    phase.set("solve", deck_phases.solve_ns);
+    for (int p = 0; p < SolveRecord::kPhases; ++p) {
+      phase.set(SolveRecord::kPhaseNames[p], record.phase_ns[p]);
+      phases_.phase_ns[p] += record.phase_ns[p];
+    }
     session.set("phase_ns", std::move(phase));
-    phases_.add(deck_phases);
   }
   doc.set("session", std::move(session));
   return doc;

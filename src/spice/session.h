@@ -61,9 +61,9 @@ struct SessionOptions {
   /// Values < 1 clamp to 1 (the most recent topology is always cached).
   int cache_capacity = 16;
   /// Collect the solver phase-time split (stamp/eval/factor/solve, see
-  /// obs/phase.h) per deck: the session block gains a "phase_ns" object
-  /// and phase_times() accumulates across decks.  Off (the default) keeps
-  /// the solve hot path free of clock reads.
+  /// SolveRecord) per deck: the session block gains a "phase_ns" object
+  /// and phases() accumulates across decks.  Off (the default) keeps the
+  /// solve hot path free of clock reads.
   bool collect_phases = false;
 };
 
@@ -99,9 +99,9 @@ class SimSession {
     return {cache_hits_, cache_misses_, cache_evictions_,
             static_cast<long>(cache_.size())};
   }
-  /// Lifetime phase-time accumulation (all zeros unless
-  /// SessionOptions::collect_phases).
-  const obs::PhaseTimes& phase_times() const { return phases_; }
+  /// Lifetime phase split (SolveRecord::phase_ns) of the decks run to
+  /// completion; all zeros unless SessionOptions::collect_phases.
+  const SolveRecord& phases() const { return phases_; }
 
  private:
   struct CacheEntry {
@@ -126,7 +126,7 @@ class SimSession {
   long cache_hits_ = 0;
   long cache_misses_ = 0;
   long cache_evictions_ = 0;
-  obs::PhaseTimes phases_;  ///< lifetime accumulation (collect_phases)
+  SolveRecord phases_;  ///< lifetime phase split (collect_phases)
 };
 
 }  // namespace carbon::spice

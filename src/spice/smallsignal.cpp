@@ -5,7 +5,6 @@
 #include <cstring>
 #include <map>
 
-#include "obs/trace.h"
 #include "phys/require.h"
 
 namespace carbon::spice {
@@ -167,9 +166,7 @@ NoiseResult noise_sweep(Circuit& ckt, VSource& input,
   std::vector<double> psd_now(sources.size(), 0.0);
   double onoise_prev = 0.0, inoise_prev = 0.0, f_prev = 0.0;
 
-  obs::Tracer* const tr = obs::tracer();
-  obs::PhaseTimes* const ph = opt.dc.phases;
-  const bool timing = (ph != nullptr) || (tr != nullptr);
+  PhaseClock clock(opt.dc.record);
 
   for (size_t i = 0; i < freqs.size(); ++i) {
     const double f = freqs[i];
@@ -177,14 +174,10 @@ NoiseResult noise_sweep(Circuit& ckt, VSource& input,
     // Cooperative deadline/cancel poll, mirroring the Newton, transient
     // and AC-sweep loops.
     if (opt.dc.cancel) opt.dc.cancel->throw_if_stopped("noise");
-    long long t0 = 0, t1 = 0;
-    if (timing) t0 = obs::now_ns();
+    clock.start();
     CARBON_REQUIRE(sys.assemble_factor(omega),
                    "noise_sweep: singular small-signal system");
-    if (timing) {
-      t1 = obs::now_ns();
-      if (ph) ph->factor_ns += t1 - t0;
-    }
+    clock.lap(SolveRecord::kFactor);
 
     // Forward solve: gain from the designated input to the output node.
     x = sys.stimulus();
@@ -196,11 +189,8 @@ NoiseResult noise_sweep(Circuit& ckt, VSource& input,
     std::fill(y.begin(), y.end(), phys::Complex{});
     y[out - 1] = phys::Complex{1.0, 0.0};
     sys.solve_transpose_in_place(y);
-    if (timing) {
-      const long long t2 = obs::now_ns();
-      if (ph) ph->solve_ns += t2 - t1;  // forward + adjoint solves
-      if (tr) tr->span("noise-point", t0, t2 - t0);
-    }
+    clock.lap(SolveRecord::kSolve);  // forward + adjoint solves
+    clock.span_since_start("noise-point");
 
     double s_out = 0.0;
     for (size_t k = 0; k < sources.size(); ++k) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -439,6 +440,81 @@ TEST(EnsembleCheckpoint, ToleratesTornTail) {
   std::filesystem::remove(path);
 }
 
+/// Nearly-ideal threshold switch: 0 -> 1 mA across ~1 mV at v = 0.5.
+/// Diode-connected against a 1 kOhm load line crossing mid-jump, plain
+/// Newton two-cycles and only the escalation ladder converges.
+struct ThresholdSwitch final : dev::IDeviceModel {
+  std::string nm = "step";
+  double drain_current(double vgs, double /*vds*/) const override {
+    return 0.5e-3 * (1.0 + std::tanh((vgs - 0.5) / 1e-3));
+  }
+  const std::string& name() const override { return nm; }
+};
+
+/// A ladder block names the winning stage twice, as `stage` and as the
+/// used_* flags; the two must agree.
+void expect_flags_match_stage(const carbon::core::Json& ladder) {
+  const std::string stage = ladder["stage"].as_string();
+  EXPECT_EQ(ladder["used_gmin_stepping"].as_bool(), stage == "gmin-stepping")
+      << ladder.dump();
+  EXPECT_EQ(ladder["used_source_stepping"].as_bool(),
+            stage == "source-stepping")
+      << ladder.dump();
+  EXPECT_EQ(ladder["used_pseudo_transient"].as_bool(),
+            stage == "pseudo-transient")
+      << ladder.dump();
+}
+
+TEST(EnsembleReport, LadderFlagsAgreeWithStageAfterResume) {
+  // Trial i solves the limit-cycle deck with the ladder stopped after stage
+  // i % 4 (trial 0 mod 4 gets a load line plain Newton solves), so all
+  // four stages are won.  A checkpoint restores the stage; the rendered
+  // flags must follow it on the resumed trials too.
+  const auto trial = [](int) {
+    return [](sp::TrialContext& tctx) -> sp::TrialMeasurement {
+      const int last_stage = static_cast<int>(tctx.index % 4);
+      sp::Circuit ckt;
+      ckt.add_vsource("vdd", "vdd", "0", last_stage == 0 ? 0.2 : 1.0);
+      ckt.add_resistor("rl", "vdd", "sw", 1e3);
+      ckt.add_fet("mstep", "sw", "sw", "0",
+                  std::make_shared<ThresholdSwitch>());
+      sp::SolverOptions o = tctx.solver;
+      o.allow_gmin_stepping = last_stage == 1;
+      o.allow_source_stepping = last_stage == 2;
+      o.allow_pseudo_transient = last_stage == 3;
+      sp::TrialMeasurement m;
+      m.stats.op = sp::operating_point(ckt, o).stats;
+      m.pass = true;
+      return m;
+    };
+  };
+  const long n = 8;
+  const std::string path = temp_ckpt("ladder");
+  sp::EnsembleOptions eo;
+  eo.num_threads = 2;
+  eo.max_retries = 0;
+  eo.checkpoint_path = path;
+  eo.config_tag = "ladder-flags-v1";
+  const auto fresh = sp::EnsembleRunner(eo).run(n, trial);
+  const auto resumed = sp::EnsembleRunner(eo).run(n, trial);
+  EXPECT_EQ(resumed.summary.from_checkpoint, n);
+  std::vector<std::string> stages;
+  for (const sp::EnsembleResult* res : {&fresh, &resumed}) {
+    for (const sp::TrialResult& t : res->trials) {
+      ASSERT_TRUE(t.ok) << "trial " << t.index << ": " << t.error;
+      const carbon::core::Json ladder = sp::to_json(t)["stats"]["op"];
+      expect_flags_match_stage(ladder);
+      stages.push_back(ladder["stage"].as_string());
+    }
+  }
+  const std::vector<std::string> kStages = {
+      "newton", "gmin-stepping", "source-stepping", "pseudo-transient"};
+  for (long i = 0; i < 2 * n; ++i) {
+    EXPECT_EQ(stages[i], kStages[i % 4]) << "rendered trial " << i;
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(EnsembleCheckpoint, RejectsMismatchedConfiguration) {
   const long n = 4;
   const std::string path = temp_ckpt("mismatch");
@@ -564,7 +640,7 @@ TEST(Ensemble, SramWriteYieldWithFaultInjection) {
       base.workspace = &w->ws;
       sp::TransientOptions opt = tctx.tuned(base);
       sp::TrialMeasurement m;
-      opt.stats = &m.stats;
+      opt.solver.record = &m.stats;
       const auto tr = sp::transient(*w->bench.ckt, opt, {"q", "qb"});
       const double q_end = tr.at(tr.num_rows() - 1, 1);
       const double qb_end = tr.at(tr.num_rows() - 1, 2);

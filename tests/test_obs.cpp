@@ -3,7 +3,8 @@
 /// snapshot consistency while writers are running (the TSan targets),
 /// tracer ring wraparound, Chrome-trace JSON well-formedness, Prometheus
 /// exposition, the per-deck phase-time split end-to-end through a
-/// SimSession, and the golden metric schema of the serve::Server registry.
+/// SimSession, and the golden schemas of the serve::Server registry and of
+/// the documents' stats blocks.
 
 #include <gtest/gtest.h>
 
@@ -18,9 +19,9 @@
 #include "device/alpha_power.h"
 #include "device/ivmodel.h"
 #include "obs/metrics.h"
-#include "obs/phase.h"
 #include "obs/trace.h"
 #include "serve/server.h"
+#include "spice/ensemble.h"
 #include "spice/session.h"
 
 namespace obs = carbon::obs;
@@ -269,9 +270,9 @@ TEST(ObsPhase, SessionCollectsPhaseSplit) {
   // the factorization; lifetime accumulation must match the deck's split.
   EXPECT_GT(phase->find("eval")->as_double(), 0.0);
   EXPECT_GT(phase->find("factor")->as_double(), 0.0);
-  const obs::PhaseTimes& pt = session.phase_times();
-  EXPECT_TRUE(pt.any());
-  EXPECT_EQ(static_cast<double>(pt.eval_ns),
+  const carbon::spice::SolveRecord& pt = session.phases();
+  EXPECT_GT(pt.phase_total(), 0);
+  EXPECT_EQ(static_cast<double>(pt.phase_ns[carbon::spice::SolveRecord::kEval]),
             phase->find("eval")->as_double());
 }
 
@@ -283,7 +284,7 @@ TEST(ObsPhase, OffByDefaultKeepsSessionBlockClean) {
   const Json* sess = doc.find("session");
   ASSERT_NE(sess, nullptr);
   EXPECT_EQ(sess->find("phase_ns"), nullptr);
-  EXPECT_FALSE(session.phase_times().any());
+  EXPECT_EQ(session.phases().phase_total(), 0);
 }
 
 // ------------------------------------------------------ server schema
@@ -314,6 +315,83 @@ TEST(ObsServe, MetricSchemaIsStable) {
       {"carbon_session_cache_entries", "gauge"},
   };
   EXPECT_EQ(server.metrics().schema(), kGolden);
+}
+
+// -------------------------------------------------- stats block schema
+
+/// Member names of JSON object @p obj in document order.  Json has no
+/// member iterator, so they are read back from the compact dump: a key is
+/// the string that opens a member at depth 1.
+std::vector<std::string> keys_of(const Json& obj) {
+  const std::string s = obj.dump();
+  std::vector<std::string> keys;
+  int depth = 0;
+  bool at_key = false;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c == '"') {
+      std::string str;
+      for (++i; s[i] != '"'; ++i) {
+        if (s[i] == '\\') ++i;
+        str += s[i];
+      }
+      if (at_key) keys.push_back(str);
+      at_key = false;
+    } else if (c == '{' || c == '[') {
+      at_key = ++depth == 1 && c == '{';
+    } else if (c == '}' || c == ']') {
+      --depth;
+    } else if (c == ',') {
+      at_key = depth == 1;
+    }
+  }
+  return keys;
+}
+
+/// Golden layout of the solver accounting the documents render: the `.op`
+/// stats block, the `.tran` stats block and its nested operating-point
+/// block, an ensemble trial's stats and session.phase_ns.  Consumers
+/// (deckbench's trace reads iterations, stage, newton_iterations,
+/// steps_accepted, steps_rejected_lte and op) index these by name; a
+/// rename, drop or reorder must show up in review as a diff of these lists.
+TEST(ObsSchema, StatsBlocksAreStable) {
+  const std::vector<std::string> kLadder = {
+      "stage",          "iterations",           "gmin_rungs",
+      "gmin_backtracks", "source_rungs",        "source_backtracks",
+      "ptc_steps",      "ptc_rejections",       "used_gmin_stepping",
+      "used_source_stepping", "used_pseudo_transient"};
+  const std::vector<std::string> kTran = {
+      "steps_accepted",  "steps_rejected_lte", "steps_rejected_newton",
+      "newton_iterations", "breakpoints_hit",  "jacobian_reuses",
+      "orchestrator_recoveries", "dt_smallest", "dt_largest", "op"};
+
+  carbon::spice::SessionOptions opts;
+  opts.collect_phases = true;
+  carbon::spice::SimSession session({}, opts);
+  const Json doc = session.run_deck_text(
+      "vin in 0 pulse(0 1 1n 1n 1n 5n 20n)\nr1 in out 1k\nc1 out 0 1p\n"
+      ".op\n.tran 0.1n 10n\n.probe none\n.end\n",
+      nullptr);
+  ASSERT_TRUE(doc["ok"].as_bool()) << doc.dump();
+  const Json& analyses = doc["steps"].at(0)["analyses"];
+  ASSERT_EQ(analyses.size(), 2u);
+  EXPECT_EQ(keys_of(analyses.at(0)["stats"]), kLadder);
+  EXPECT_EQ(keys_of(analyses.at(1)["stats"]), kTran);
+  EXPECT_EQ(keys_of(analyses.at(1)["stats"]["op"]), kLadder);
+  EXPECT_EQ(keys_of(doc["session"]["phase_ns"]),
+            (std::vector<std::string>{"stamp", "eval", "factor", "solve"}));
+
+  carbon::spice::EnsembleOptions eo;
+  eo.num_threads = 1;
+  const auto result = carbon::spice::EnsembleRunner(eo).run(
+      1, [](int) {
+        return [](carbon::spice::TrialContext&) {
+          return carbon::spice::TrialMeasurement{};
+        };
+      });
+  const Json trial = to_json(result.trials.at(0));
+  EXPECT_EQ(keys_of(trial["stats"]), kTran);
+  EXPECT_EQ(keys_of(trial["stats"]["op"]), kLadder);
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/report.h"
 #include "device/alpha_power.h"
@@ -272,6 +274,28 @@ TEST(SimSession, TopologyCacheIsBoundedLru) {
   EXPECT_EQ(cc["session"]["cache_hits"].as_int(), 2);
   EXPECT_EQ(cc["session"]["cache_misses"].as_int(), 5);
   EXPECT_EQ(cc["session"]["cache_capacity"].as_int(), 2);
+}
+
+TEST(SimSession, TransientCountersDescribeOneRun) {
+  // Repeated decks of one topology share the cached Newton workspace, whose
+  // factor-skip count runs over its whole life.  Each .tran block must
+  // count its own run only: three identical fixed-step runs, three equal
+  // nonzero jacobian_reuses (the RC companion Jacobian repeats every step).
+  sp::SimSession session;
+  const char* deck =
+      "vin in 0 pulse(0 1 1n 1n 1n 50n 100n)\nr1 in out 1k\nc1 out 0 1p\n"
+      ".tran 0.1n 30n fixed=1\n.probe none\n.end\n";
+  std::vector<std::int64_t> reuses;
+  for (int run = 0; run < 3; ++run) {
+    const Json doc = session.run_deck_text(deck);
+    ASSERT_TRUE(doc["ok"].as_bool()) << doc.dump(1);
+    const Json& stats = doc["steps"].at(0)["analyses"].at(0)["stats"];
+    EXPECT_EQ(stats["steps_accepted"].as_int(), 300);
+    reuses.push_back(stats["jacobian_reuses"].as_int());
+  }
+  EXPECT_GT(reuses[0], 0);
+  EXPECT_EQ(reuses[1], reuses[0]);
+  EXPECT_EQ(reuses[2], reuses[0]);
 }
 
 TEST(SimSession, ExpiredDeadlineRendersTimeoutDocument) {

@@ -191,8 +191,8 @@ TEST(Breakpoints, AdaptiveLandsExactlyOnCorners) {
   opt.t_stop = 4e-9;
   opt.dt = 1e-11;
   opt.adaptive = true;
-  sp::TransientStats stats;
-  opt.stats = &stats;
+  sp::SolveRecord stats;
+  opt.solver.record = &stats;
   const auto tr = sp::transient(c, opt, {"b"});
   // PWL corners at 1 and 1.5 ns; the 4 ns point coincides with t_stop and
   // is not a breakpoint.
@@ -222,7 +222,7 @@ double rms_diff(const carbon::phys::DataTable& a,
 
 TEST(AdaptiveTran, RcLadderMatchesFixedReference) {
   const double t_stop = 50e-9, dt_print = 0.1e-9;
-  auto run = [&](bool adaptive, double dt, sp::TransientStats* st) {
+  auto run = [&](bool adaptive, double dt, sp::SolveRecord* st) {
     auto bench = ckt::make_rc_ladder(20, 1e3, 1e-13, 1.0);
     bench.vin->set_wave(
         sp::pulse(0.0, 1.0, 1e-9, 0.5e-9, 0.5e-9, 20e-9, 100e-9));
@@ -232,10 +232,10 @@ TEST(AdaptiveTran, RcLadderMatchesFixedReference) {
     opt.adaptive = adaptive;
     opt.dt_print = dt_print;
     opt.lte_reltol = 3e-5;  // timing-grade tolerance
-    opt.stats = st;
+    opt.solver.record = st;
     return sp::transient(*bench.ckt, opt, {bench.out_node});
   };
-  sp::TransientStats sf, sa;
+  sp::SolveRecord sf, sa;
   const auto fixed = run(false, 0.01e-9, &sf);
   const auto adapt = run(true, 0.01e-9, &sa);
   EXPECT_LT(rms_diff(fixed, adapt, 1), 1e-4);
@@ -272,7 +272,7 @@ TEST(AdaptiveTran, CntfetInverterDelayMatchesFixed) {
   copt.v_dd = 0.6;
   copt.c_load = 5e-15;
   const double t_stop = 8e-9, dt_print = 8e-12;
-  auto run = [&](bool adaptive, double dt, sp::TransientStats* st) {
+  auto run = [&](bool adaptive, double dt, sp::SolveRecord* st) {
     auto bench = ckt::make_inverter(tab, copt);
     bench.vin->set_wave(sp::pulse(0.0, 0.6, 1e-9, 50e-12, 50e-12, 3e-9,
                                   100e-9));
@@ -284,10 +284,10 @@ TEST(AdaptiveTran, CntfetInverterDelayMatchesFixed) {
     opt.lte_reltol = 1e-4;
     opt.bypass_vtol = adaptive ? 1e-4 : 0.0;
     opt.ic = sp::TransientIc::kFromOperatingPoint;
-    opt.stats = st;
+    opt.solver.record = st;
     return sp::transient(*bench.ckt, opt, {"in", "out"});
   };
-  sp::TransientStats sf, sa;
+  sp::SolveRecord sf, sa;
   const auto fixed = run(false, 2e-12, &sf);
   const auto adapt = run(true, 2e-12, &sa);
   EXPECT_LT(rms_diff(fixed, adapt, 2), 1e-3);
@@ -297,7 +297,7 @@ TEST(AdaptiveTran, CntfetInverterDelayMatchesFixed) {
       sp::propagation_delay(adapt, "v(in)", "v(out)", 0.6, true);
   EXPECT_NEAR(d_adapt, d_fixed, 0.01 * d_fixed + 1e-12);
   EXPECT_LT(sa.newton_iterations, sf.newton_iterations / 2);
-  EXPECT_LT(sa.evals.device_evals, sf.evals.device_evals / 5);
+  EXPECT_LT(sa.device_evals, sf.device_evals / 5);
 }
 
 TEST(AdaptiveTran, RingOscillatorPeriodMatchesFixed) {
@@ -306,7 +306,7 @@ TEST(AdaptiveTran, RingOscillatorPeriodMatchesFixed) {
   ckt::CellOptions copt;
   copt.c_load = 5e-15;
   const double t_stop = 2e-9, dt_print = 2e-12;
-  auto run = [&](bool adaptive, sp::TransientStats* st) {
+  auto run = [&](bool adaptive, sp::SolveRecord* st) {
     auto bench = ckt::make_ring_oscillator(m, 5, copt);
     sp::TransientOptions opt;
     opt.t_stop = t_stop;
@@ -315,10 +315,10 @@ TEST(AdaptiveTran, RingOscillatorPeriodMatchesFixed) {
     opt.dt_print = dt_print;
     opt.lte_reltol = 1e-4;
     opt.bypass_vtol = adaptive ? 1e-4 : 0.0;
-    opt.stats = st;
+    opt.solver.record = st;
     return sp::transient(*bench.ckt, opt, {"n0"});
   };
-  sp::TransientStats sf, sa;
+  sp::SolveRecord sf, sa;
   const auto fixed = run(false, &sf);
   const auto adapt = run(true, &sa);
   const double p_fixed = sp::oscillation_period(fixed, "v(n0)", 0.5, 1);
@@ -334,7 +334,7 @@ TEST(AdaptiveTran, SramWriteFlipsCellAndMatchesFixed) {
       dev::make_tabulated(std::make_shared<dev::CntfetModel>(p), 0.6);
   ckt::CellOptions copt;
   copt.v_dd = 0.6;
-  auto run = [&](bool adaptive, double dt, sp::TransientStats* st) {
+  auto run = [&](bool adaptive, double dt, sp::SolveRecord* st) {
     auto bench = ckt::make_sram_write_bench(tab, copt);
     sp::TransientOptions opt;
     opt.t_stop = 4e-9;
@@ -344,10 +344,10 @@ TEST(AdaptiveTran, SramWriteFlipsCellAndMatchesFixed) {
     opt.lte_reltol = 1e-4;
     opt.bypass_vtol = adaptive ? 1e-4 : 0.0;
     opt.ic = sp::TransientIc::kFromOperatingPoint;
-    opt.stats = st;
+    opt.solver.record = st;
     return sp::transient(*bench.ckt, opt, {"q", "qb"});
   };
-  sp::TransientStats sf, sa;
+  sp::SolveRecord sf, sa;
   const auto fixed = run(false, 1e-12, &sf);
   const auto adapt = run(true, 1e-12, &sa);
   // The write flips the cell: q starts high (hold state), ends low.
@@ -358,7 +358,7 @@ TEST(AdaptiveTran, SramWriteFlipsCellAndMatchesFixed) {
   EXPECT_LT(rms_diff(fixed, adapt, 1), 1e-4);
   EXPECT_LT(rms_diff(fixed, adapt, 2), 1e-4);
   EXPECT_LT(sa.newton_iterations, sf.newton_iterations / 2);
-  EXPECT_LT(sa.evals.device_evals, sf.evals.device_evals / 5);
+  EXPECT_LT(sa.device_evals, sf.device_evals / 5);
 }
 
 // ------------------------------------------------------------------- bypass
@@ -402,14 +402,14 @@ TEST(Bypass, CountersTrackEvalsAndBypasses) {
   opt.t_stop = 1e-9;
   opt.dt = 1e-12;
   opt.bypass_vtol = 1e-4;
-  sp::TransientStats stats;
-  opt.stats = &stats;
+  sp::SolveRecord stats;
+  opt.solver.record = &stats;
   sp::transient(*bench.ckt, opt, {"out"});
-  EXPECT_GT(stats.evals.device_evals, 0);
-  EXPECT_GT(stats.evals.device_bypasses, 0);
+  EXPECT_GT(stats.device_evals, 0);
+  EXPECT_GT(stats.device_bypasses, 0);
   // Two FETs stamped once per Newton iteration: every stamp either
   // evaluates or bypasses.
-  EXPECT_EQ(stats.evals.device_evals + stats.evals.device_bypasses,
+  EXPECT_EQ(stats.device_evals + stats.device_bypasses,
             2 * stats.newton_iterations);
 }
 
@@ -446,14 +446,14 @@ TEST(Bypass, DiodeCountersTrackEvalsAndBypasses) {
   opt.t_stop = 15e-9;
   opt.dt = 0.01e-9;
   opt.bypass_vtol = 1e-4;
-  sp::TransientStats stats;
-  opt.stats = &stats;
+  sp::SolveRecord stats;
+  opt.solver.record = &stats;
   sp::transient(*bench.ckt, opt, {bench.out_node});
-  EXPECT_GT(stats.evals.device_evals, 0);
-  EXPECT_GT(stats.evals.device_bypasses, 0);
+  EXPECT_GT(stats.device_evals, 0);
+  EXPECT_GT(stats.device_bypasses, 0);
   // Ten diodes stamped once per Newton iteration: every stamp either
   // evaluates the exponential or serves the cache.
-  EXPECT_EQ(stats.evals.device_evals + stats.evals.device_bypasses,
+  EXPECT_EQ(stats.device_evals + stats.device_bypasses,
             10 * stats.newton_iterations);
 }
 
@@ -502,7 +502,7 @@ TEST(PiController, CutsRingRejectionRateAtMatchedAccuracy) {
       dev::make_fig2_saturating_params());
   ckt::CellOptions copt;
   copt.c_load = 5e-15;
-  auto run = [&](bool pi, sp::TransientStats* st) {
+  auto run = [&](bool pi, sp::SolveRecord* st) {
     auto bench = ckt::make_ring_oscillator(m, 5, copt);
     sp::TransientOptions opt;
     opt.t_stop = 2e-9;
@@ -511,10 +511,10 @@ TEST(PiController, CutsRingRejectionRateAtMatchedAccuracy) {
     opt.dt_print = 2e-12;
     opt.lte_reltol = 1e-4;
     opt.lte_pi = pi;
-    opt.stats = st;
+    opt.solver.record = st;
     return sp::transient(*bench.ckt, opt, {"n0"});
   };
-  sp::TransientStats classic, pi;
+  sp::SolveRecord classic, pi;
   const auto tr_classic = run(false, &classic);
   const auto tr_pi = run(true, &pi);
 
@@ -547,8 +547,8 @@ TEST(JacobianReuse, LinearRcSkipsRefactors) {
   sp::TransientOptions opt;
   opt.t_stop = 10e-9;
   opt.dt = 0.1e-9;
-  sp::TransientStats stats;
-  opt.stats = &stats;
+  sp::SolveRecord stats;
+  opt.solver.record = &stats;
   sp::transient(*bench.ckt, opt, {bench.out_node});
   EXPECT_GE(stats.jacobian_reuses, stats.steps_accepted)
       << "linear circuit at fixed dt must reuse the factorization";
@@ -573,8 +573,8 @@ TEST(JacobianReuse, BypassedQuiescentStepsSkipRefactors) {
   opt.lte_reltol = 1e-4;
   opt.bypass_vtol = 1e-4;
   opt.ic = sp::TransientIc::kFromOperatingPoint;
-  sp::TransientStats stats;
-  opt.stats = &stats;
+  sp::SolveRecord stats;
+  opt.solver.record = &stats;
   const auto tr = sp::transient(*bench.ckt, opt, {"q", "qb"});
   EXPECT_GT(stats.jacobian_reuses, 0);
   // The write still flips the cell (the reuse is exact, not approximate).

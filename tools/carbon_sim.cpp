@@ -220,9 +220,8 @@ int main(int argc, char** argv) {
   }
 
   if (profile) {
-    const carbon::obs::PhaseTimes& pt = session.phase_times();
-    const long long total =
-        pt.stamp_ns + pt.eval_ns + pt.factor_ns + pt.solve_ns;
+    const carbon::spice::SolveRecord& pt = session.phases();
+    const long long total = pt.phase_total();
     const double denom = total > 0 ? static_cast<double>(total) : 1.0;
     auto row = [&](const char* name, long long ns) {
       std::fprintf(stderr, "  %-12s %12.3f ms  %5.1f%%\n", name, ns * 1e-6,
@@ -230,10 +229,11 @@ int main(int argc, char** argv) {
     };
     std::fprintf(stderr, "carbon_sim profile (%d deck%s):\n", deck_index,
                  deck_index == 1 ? "" : "s");
-    row("device-eval", pt.eval_ns);
-    row("stamp", pt.stamp_ns);
-    row("factor", pt.factor_ns);
-    row("back-solve", pt.solve_ns);
+    using Rec = carbon::spice::SolveRecord;
+    row("device-eval", pt.phase_ns[Rec::kEval]);
+    row("stamp", pt.phase_ns[Rec::kStamp]);
+    row("factor", pt.phase_ns[Rec::kFactor]);
+    row("back-solve", pt.phase_ns[Rec::kSolve]);
     row("total", total);
   }
   return any_failed ? 1 : 0;

@@ -21,49 +21,34 @@ int ms_until(std::chrono::steady_clock::time_point deadline) {
 
 }  // namespace
 
-ReadStatus FrameReader::read_frame(std::string* out, int wake_fd) {
-  char chunk[4096];
-  for (;;) {
-    // Serve a buffered complete frame first: pipelined requests that
-    // already arrived are handled even when the wake fd is firing.
-    const std::size_t nl = buf_.find('\n');
-    if (nl != std::string::npos) {
-      if (nl > max_bytes_) return ReadStatus::kTooLarge;
-      out->assign(buf_, 0, nl);
-      buf_.erase(0, nl + 1);
-      return ReadStatus::kFrame;
-    }
+void FrameReader::append(const char* data, std::size_t n) {
+  // Drop the lines already handed out once per append rather than once
+  // per frame: pipelined frames cost no quadratic shifting.
+  if (start_ > 0) {
+    buf_.erase(0, start_);
+    scanned_ -= start_;
+    start_ = 0;
+  }
+  buf_.append(data, n);
+}
+
+FrameStatus FrameReader::next(std::string* out) {
+  const char* base = buf_.data();
+  const void* nl = std::memchr(base + scanned_, '\n', buf_.size() - scanned_);
+  if (nl == nullptr) {
+    scanned_ = buf_.size();
     // The ceiling applies to the *partial* line too: an attacker (or a
     // runaway client) streaming newline-free data is cut off after
     // max_bytes_, not buffered until memory runs out.
-    if (buf_.size() > max_bytes_) return ReadStatus::kTooLarge;
-
-    struct pollfd fds[2];
-    fds[0].fd = fd_;
-    fds[0].events = POLLIN;
-    fds[0].revents = 0;
-    fds[1].fd = wake_fd;
-    fds[1].events = POLLIN;
-    fds[1].revents = 0;
-    const int n = ::poll(fds, wake_fd >= 0 ? 2 : 1, -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ReadStatus::kError;
-    }
-    if (fds[0].revents & (POLLIN | POLLHUP | POLLERR)) {
-      const ssize_t got = ::read(fd_, chunk, sizeof chunk);
-      if (got > 0) {
-        buf_.append(chunk, static_cast<std::size_t>(got));
-        continue;
-      }
-      if (got == 0) return ReadStatus::kEof;
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return ReadStatus::kError;
-    }
-    if (wake_fd >= 0 && (fds[1].revents & (POLLIN | POLLHUP | POLLERR))) {
-      return ReadStatus::kInterrupted;
-    }
+    return buf_.size() - start_ > max_bytes_ ? FrameStatus::kTooLarge
+                                             : FrameStatus::kNeedMore;
   }
+  const std::size_t end = static_cast<std::size_t>(
+      static_cast<const char*>(nl) - base);
+  if (end - start_ > max_bytes_) return FrameStatus::kTooLarge;
+  out->assign(buf_, start_, end - start_);
+  start_ = scanned_ = end + 1;
+  return FrameStatus::kFrame;
 }
 
 bool write_frame(int fd, const std::string& line, double timeout_s) {

@@ -7,13 +7,12 @@
 /// document per line in each direction.  What this layer adds is the
 /// robustness the server needs at the socket boundary:
 ///
-///  * FrameReader enforces a hard per-frame byte ceiling while the frame
-///    is still arriving — an oversized request is detected (and reported
-///    as kTooLarge) after at most max_frame_bytes of buffering, never
-///    after the client finished streaming an arbitrarily large line.
-///  * read_frame() can be woken by a second fd (the server's drain pipe),
-///    so a worker blocked on an idle keep-alive connection notices a
-///    SIGTERM drain immediately instead of at the next client byte.
+///  * FrameReader splits received bytes into frames, scanning each byte
+///    once, and enforces a hard per-frame byte ceiling while the frame is
+///    still arriving — an oversized request is detected (and reported as
+///    kTooLarge) once max_frame_bytes are buffered, never after the client
+///    finished streaming an arbitrarily large line.  It owns no fd: the
+///    server's I/O loop reads and feeds it.
 ///  * write_frame() is a poll()-driven bounded write: a client that stops
 ///    reading (slow consumer, dead peer behind a full TCP window) costs at
 ///    most the write timeout, after which the connection is abandoned.
@@ -23,33 +22,32 @@
 
 namespace carbon::serve {
 
-/// Outcome of one read_frame() call.
-enum class ReadStatus {
-  kFrame,        ///< a complete line was extracted into *out
-  kEof,          ///< orderly end of stream (any unterminated tail dropped)
-  kTooLarge,     ///< frame exceeded max_frame_bytes before its newline
-  kInterrupted,  ///< the wake fd fired (server drain) with no frame ready
-  kError,        ///< socket error
+/// Outcome of one FrameReader::next() call.
+enum class FrameStatus {
+  kFrame,     ///< a complete line was extracted into *out
+  kNeedMore,  ///< no complete line buffered yet
+  kTooLarge,  ///< the current line exceeds max_frame_bytes
 };
 
-/// Buffered line reader over a blocking socket fd (not owned).
+/// Incremental newline splitter with a per-frame ceiling.
 class FrameReader {
  public:
-  FrameReader(int fd, std::size_t max_frame_bytes)
-      : fd_(fd), max_bytes_(max_frame_bytes) {}
+  explicit FrameReader(std::size_t max_frame_bytes)
+      : max_bytes_(max_frame_bytes) {}
 
-  /// Block until a full newline-terminated frame is available (stored in
-  /// *out without the newline) or one of the other ReadStatus conditions
-  /// hits.  @p wake_fd (-1 = none) interrupts the wait when it becomes
-  /// readable or hangs up; buffered complete frames are served before an
-  /// interrupt is reported, so pipelined requests already received are
-  /// not lost to a drain.
-  ReadStatus read_frame(std::string* out, int wake_fd = -1);
+  /// Append @p n received bytes.
+  void append(const char* data, std::size_t n);
+
+  /// Extract the next complete frame (without its newline) into *out.
+  /// kTooLarge also fires for a partial line already over the ceiling;
+  /// the frame boundary is lost then, so the caller closes.
+  FrameStatus next(std::string* out);
 
  private:
-  int fd_;
   std::size_t max_bytes_;
   std::string buf_;
+  std::size_t start_ = 0;    ///< first byte of the current (unread) line
+  std::size_t scanned_ = 0;  ///< bytes of buf_ already searched for '\n'
 };
 
 /// Write all of @p line plus a terminating newline, bounded by

@@ -3,13 +3,12 @@
 /// @file queue.h
 /// The server's bounded MPMC work queue.  Admission control lives here:
 /// try_push() is non-blocking and returns false when the queue is full (or
-/// closed), so the accept loop can shed load with a structured overload
-/// rejection instead of buffering connections without bound.  Workers
-/// block in pop(); close() starts the drain — already-admitted items keep
-/// draining (every admitted connection gets a response), new pushes are
-/// refused, and pop() returns nullopt once the queue runs dry.
+/// closed), so the I/O loop can shed a run request with a structured
+/// overload rejection instead of buffering requests without bound.
+/// Workers block in pop(); close() starts the drain — already-admitted
+/// items keep draining (every admitted request gets a response), new
+/// pushes are refused, and pop() returns nullopt once the queue runs dry.
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -18,15 +17,6 @@
 #include <utility>
 
 namespace carbon::serve {
-
-/// An admitted connection: the fd plus the instant admission control let
-/// it through, so the worker that eventually pops it can report the time
-/// the connection sat in the queue separately from its service time
-/// (the carbon_queue_wait_seconds histogram).
-struct Admitted {
-  int fd = -1;
-  std::chrono::steady_clock::time_point admitted_at{};
-};
 
 template <typename T>
 class BoundedQueue {
@@ -74,10 +64,6 @@ class BoundedQueue {
     return items_.size();
   }
   std::size_t capacity() const { return capacity_; }
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
 
  private:
   const std::size_t capacity_;

@@ -5,10 +5,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <stdexcept>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -44,6 +44,19 @@ void close_fd(int& fd) {
   }
 }
 
+/// One int into the wake pipe.  Async-signal-safe: request_drain() runs
+/// from a SIGTERM handler.
+void send_int(int fd, int value) {
+  while (::write(fd, &value, sizeof value) < 0 && errno == EINTR) {
+  }
+}
+
+/// Write budget of the I/O thread's own replies: the short one the overload
+/// shed always had, so one slow reader cannot stall every connection long.
+double io_write_budget_s(const ServerConfig& cfg) {
+  return std::min(1.0, std::max(0.05, cfg.write_timeout_s));
+}
+
 long long since_ns(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now() - t0)
@@ -57,8 +70,9 @@ ServerStats::ServerStats(obs::MetricsRegistry& m)
                          "Connections accepted by the listener")),
       rejected_overload(m.counter("carbon_rejected_total",
                                   "reason=\"overload\"",
-                                  "Connections/frames shed by admission "
-                                  "control")),
+                                  "Run requests shed by admission control "
+                                  "(overload; the connection stays open) "
+                                  "and oversized frames (too_large)")),
       rejected_too_large(
           m.counter("carbon_rejected_total", "reason=\"too_large\"")),
       bad_requests(m.counter("carbon_bad_requests_total", "",
@@ -85,9 +99,9 @@ ServerStats::ServerStats(obs::MetricsRegistry& m)
 
 ServerInstruments::ServerInstruments(obs::MetricsRegistry& m)
     : queue_depth(m.gauge("carbon_queue_depth", "",
-                          "Admitted connections waiting for a worker")),
+                          "Admitted run requests waiting for a worker")),
       queue_wait(m.histogram("carbon_queue_wait_seconds", "",
-                             "Admission to worker pop, per connection")),
+                             "Admission to worker pop, per run request")),
       lat_ok(m.histogram("carbon_request_seconds", "outcome=\"ok\"",
                          "Run request service latency by outcome class")),
       lat_parse(m.histogram("carbon_request_seconds", "outcome=\"parse\"")),
@@ -126,11 +140,22 @@ struct Server::WorkerState {
   spice::SolveRecord exported_phases{};
 };
 
-/// One in-flight request as the disconnect monitor sees it.
-struct Server::Watch {
-  int fd = -1;
-  phys::CancelToken* token = nullptr;
+/// The state a lent connection shares with the worker holding its request.
+/// The I/O thread frees it only after the worker handed the fd back, so
+/// neither side can touch it after the other let go.
+struct Server::Lease {
+  explicit Lease(const phys::CancelToken* drain) : token(drain) {}
+
+  phys::CancelToken token;  ///< the request's token, child of the drain token
+  /// The peer hung up (set by the I/O thread, which also cancels token) or
+  /// the reply write failed (set by the worker): close the fd on return.
   std::atomic<bool> gone{false};
+};
+
+/// One client connection; only the I/O thread touches it.
+struct Server::Conn {
+  FrameReader frames;
+  std::unique_ptr<Lease> lease;  ///< non-null while the connection is lent
 };
 
 Server::Server(ServerConfig cfg)
@@ -147,14 +172,12 @@ Server::Server(ServerConfig cfg)
 }
 
 Server::~Server() {
-  if (started_.load() && !stopped_.load()) {
+  if (io_thread_.joinable()) {
     request_drain();
     wait();
   }
-  close_fd(signal_pipe_[0]);
-  close_fd(signal_pipe_[1]);
-  close_fd(drain_pipe_[0]);
-  close_fd(drain_pipe_[1]);
+  close_fd(wake_pipe_[0]);
+  close_fd(wake_pipe_[1]);
   close_fd(listen_fd_);
 }
 
@@ -162,17 +185,19 @@ void Server::start() {
   if (started_.exchange(true)) {
     throw std::runtime_error("serve: start() called twice");
   }
-  if (::pipe(signal_pipe_) != 0 || ::pipe(drain_pipe_) != 0) {
+  if (::pipe(wake_pipe_) != 0) {
     throw std::runtime_error("serve: pipe() failed");
   }
 
+  // Non-blocking listener and connections: the I/O thread must never
+  // block in accept() or read(), and write_frame() bounds every write.
   if (!cfg_.unix_path.empty()) {
     struct sockaddr_un addr;
     if (cfg_.unix_path.size() >= sizeof addr.sun_path) {
       throw std::runtime_error("serve: unix socket path too long: " +
                                cfg_.unix_path);
     }
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (listen_fd_ < 0) throw std::runtime_error("serve: socket() failed");
     ::unlink(cfg_.unix_path.c_str());  // stale socket from a previous run
     std::memset(&addr, 0, sizeof addr);
@@ -185,7 +210,7 @@ void Server::start() {
                                std::strerror(errno));
     }
   } else {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (listen_fd_ < 0) throw std::runtime_error("serve: socket() failed");
     const int one = 1;
     ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -212,37 +237,20 @@ void Server::start() {
     throw std::runtime_error("serve: listen() failed");
   }
 
-  monitor_thread_ = std::thread([this] { monitor_main(); });
   for (int i = 0; i < cfg_.workers; ++i) {
     WorkerState* w = worker_states_[static_cast<std::size_t>(i)].get();
     worker_threads_.emplace_back([this, w] { worker_main(*w); });
   }
-  if (cfg_.stats_interval_s > 0.0) {
-    stats_thread_ = std::thread([this] { stats_main(); });
-  }
-  accept_thread_ = std::thread([this] { accept_main(); });
+  io_thread_ = std::thread([this] { io_main(); });
 }
 
 void Server::wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
+  if (io_thread_.joinable()) io_thread_.join();
   for (std::thread& t : worker_threads_) {
     if (t.joinable()) t.join();
   }
   worker_threads_.clear();
-  {
-    std::lock_guard<std::mutex> lock(watch_mu_);
-    monitor_stop_ = true;
-  }
-  watch_cv_.notify_all();
-  if (monitor_thread_.joinable()) monitor_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_stop_ = true;
-  }
-  stats_cv_.notify_all();
-  if (stats_thread_.joinable()) stats_thread_.join();
   if (!cfg_.unix_path.empty()) ::unlink(cfg_.unix_path.c_str());
-  stopped_.store(true);
 }
 
 int Server::run() {
@@ -252,10 +260,9 @@ int Server::run() {
 }
 
 void Server::request_drain() {
-  if (!started_.load() || signal_pipe_[1] < 0) return;
-  const char byte = 'q';
-  // A full pipe means a drain byte is already pending: same effect.
-  [[maybe_unused]] const ssize_t n = ::write(signal_pipe_[1], &byte, 1);
+  if (!started_.load() || wake_pipe_[1] < 0) return;
+  if (draining_.exchange(true)) return;  // at most one -1 ever queued
+  send_int(wake_pipe_[1], -1);
 }
 
 std::string Server::endpoint() const {
@@ -263,127 +270,183 @@ std::string Server::endpoint() const {
   return cfg_.tcp_host + ":" + std::to_string(port_);
 }
 
-// --------------------------------------------------------------- accept loop
+// ------------------------------------------------------------------ I/O loop
 
-void Server::accept_main() {
-  for (;;) {
-    struct pollfd fds[2];
-    fds[0].fd = listen_fd_;
-    fds[0].events = POLLIN;
-    fds[0].revents = 0;
-    fds[1].fd = signal_pipe_[0];
-    fds[1].events = POLLIN;
-    fds[1].revents = 0;
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      break;
+void Server::io_main() {
+  using Clock = std::chrono::steady_clock;
+  std::map<int, Conn> conns;  // node-based: a Lease's owner never moves
+  std::vector<struct pollfd> fds;
+  bool stopping = false;       // drain begun: listener and idle fds closed
+  bool accept_paused = false;  // accept() hit the fd limit
+  const auto stats_period = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(cfg_.stats_interval_s));
+  Clock::time_point next_stats = Clock::now() + stats_period;
+  char chunk[64 * 1024];
+
+  auto close_conn = [&](std::map<int, Conn>::iterator it) {
+    ::close(it->first);
+    accept_paused = false;  // a descriptor is free again
+    return conns.erase(it);
+  };
+  auto begin_drain = [&] {
+    stopping = true;
+    draining_.store(true, std::memory_order_release);
+    close_fd(listen_fd_);
+    for (auto it = conns.begin(); it != conns.end();) {
+      if (it->second.lease) ++it;
+      else it = close_conn(it);
     }
-    if (fds[1].revents & (POLLIN | POLLHUP | POLLERR)) break;  // drain
-    if (!(fds[0].revents & POLLIN)) continue;
-    const int conn = ::accept(listen_fd_, nullptr, nullptr);
-    if (conn < 0) continue;
-    stats_.accepted.inc();
-    if (!queue_.try_push({conn, std::chrono::steady_clock::now()})) {
-      // Admission control: shed the connection with a structured overload
-      // document inside a small write budget, never buffer it.
-      stats_.rejected_overload.inc();
-      const Json doc =
-          error_doc("overload", "request queue full; retry later");
-      write_frame(conn, doc.dump(),
-                  std::min(1.0, std::max(0.05, cfg_.write_timeout_s)));
-      ::close(conn);
+    queue_.close();  // admitted requests still drain
+    if (cfg_.drain_budget_s > 0.0) {
+      // In-flight (and still-queued) work gets this much wall clock; a hung
+      // solve is cancelled at the budget and renders as a timeout document.
+      drain_token_.set_deadline_after(cfg_.drain_budget_s);
+    } else {
+      drain_token_.cancel();
     }
-  }
+  };
 
-  // --- graceful drain -------------------------------------------------------
-  draining_.store(true, std::memory_order_release);
-  close_fd(listen_fd_);  // stop accepting
-  queue_.close();        // admitted connections still drain
-  if (cfg_.drain_budget_s > 0.0) {
-    // In-flight (and still-queued) work gets this much wall clock; a hung
-    // solve is cancelled at the budget and renders as a timeout document.
-    drain_token_.set_deadline_after(cfg_.drain_budget_s);
-  } else {
-    drain_token_.cancel();
-  }
-  close_fd(drain_pipe_[1]);  // POLLHUP wakes workers idling in read_frame
-}
+  // Once draining, only lent connections remain, each closed on return.
+  while (!stopping || !conns.empty()) {
+    fds.clear();
+    fds.push_back({wake_pipe_[0], POLLIN, 0});
+    for (const auto& [fd, c] : conns) {
+      if (!c.lease) {
+        fds.push_back({fd, POLLIN, 0});
+      } else if (!c.lease->gone.load(std::memory_order_acquire)) {
+        // A lent connection is watched for hang-up only: POLLRDHUP catches
+        // an orderly close() by the peer, POLLERR/POLLHUP (always reported)
+        // catch resets, and pipelined request bytes wait in the kernel.
+        // Once gone it leaves the set until its worker returns it, so the
+        // loop cannot spin on it.
+        fds.push_back({fd, POLLRDHUP, 0});
+      }
+    }
+    const std::size_t conn_end = fds.size();
+    if (listen_fd_ >= 0 && !accept_paused) {
+      fds.push_back({listen_fd_, POLLIN, 0});
+    }
 
-// -------------------------------------------------------------- worker pool
-
-void Server::worker_main(WorkerState& w) {
-  // One long-lived session per worker; all workers share the immutable
-  // model registry by value (DeviceModelPtr copies of const models).
-  // Phase collection is always on in the service: the per-iteration cost
-  // is a few clock reads, and it feeds the carbon_phase_ns_total family.
-  spice::SessionOptions sopts = cfg_.session;
-  sopts.collect_phases = true;
-  spice::SimSession session(cfg_.registry, sopts);
-  while (std::optional<Admitted> adm = queue_.pop()) {
-    // Queue wait (admission → pop) is recorded apart from service time:
-    // a saturated worker pool shows up here, a slow deck shows up in
-    // carbon_request_seconds.
-    inst_.queue_wait.record_ns(since_ns(adm->admitted_at));
-    serve_connection(adm->fd, session, w);
-  }
-}
-
-void Server::serve_connection(int fd, spice::SimSession& session,
-                              WorkerState& w) {
-  FrameReader reader(fd, cfg_.max_request_bytes);
-  std::string line;
-  for (;;) {
-    const ReadStatus st = reader.read_frame(&line, drain_pipe_[0]);
-    if (st == ReadStatus::kFrame) {
-      if (!handle_request(fd, line, session, w)) break;
-      // Drain: the response of the request that was already in flight is
-      // flushed above; close the keep-alive connection instead of waiting
-      // for more frames.
-      if (draining()) break;
+    int timeout_ms = -1;
+    if (cfg_.stats_interval_s > 0.0) {
+      const Clock::time_point now = Clock::now();
+      if (now >= next_stats) {
+        print_stats();
+        next_stats = now + stats_period;
+      }
+      // Capped at a minute so a long period cannot overflow the int.
+      timeout_ms = static_cast<int>(std::min<long long>(
+          60'000, std::chrono::ceil<std::chrono::milliseconds>(next_stats - now)
+                      .count()));
+    }
+    if (::poll(fds.data(), fds.size(), timeout_ms) < 0) {
+      if (errno != EINTR && !stopping) begin_drain();
       continue;
     }
-    if (st == ReadStatus::kTooLarge) {
-      // The frame boundary is lost once a line is cut off mid-stream, so
-      // reject-and-close is the only safe resynchronization.
-      stats_.rejected_too_large.inc();
-      send_doc(fd,
-               error_doc("too_large",
-                         "request frame exceeds " +
-                             std::to_string(cfg_.max_request_bytes) +
-                             " bytes"),
-               cfg_.write_timeout_s);
+
+    // Connections, then the listener, then returns and drain: a fd number
+    // freed on the way is reused only by an accept after its old entry.
+    for (std::size_t i = 1; i < conn_end; ++i) {
+      if (fds[i].revents == 0) continue;
+      const auto it = conns.find(fds[i].fd);
+      if (it == conns.end()) continue;
+      Conn& c = it->second;
+      if (c.lease) {
+        // The peer hung up mid-request: cancel the solve; the worker skips
+        // the reply, and the fd closes when it comes back.
+        c.lease->gone.store(true, std::memory_order_release);
+        c.lease->token.cancel();
+        continue;
+      }
+      const ssize_t got = ::read(it->first, chunk, sizeof chunk);
+      if (got < 0 && (errno == EAGAIN || errno == EINTR)) continue;
+      if (got <= 0) {
+        close_conn(it);  // EOF (a partial frame is dropped) or error
+        continue;
+      }
+      c.frames.append(chunk, static_cast<std::size_t>(got));
+      if (!serve_frames(it->first, c)) close_conn(it);
     }
-    break;  // kEof / kError / kInterrupted (drain while idle) / kTooLarge
+
+    if (conn_end < fds.size() && (fds[conn_end].revents & POLLIN)) {
+      const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+      if (fd >= 0) {
+        stats_.accepted.inc();
+        conns.try_emplace(fd,
+                          Conn{FrameReader(cfg_.max_request_bytes), nullptr});
+      } else if (errno == EMFILE || errno == ENFILE) {
+        // Out of descriptors: pending clients wait in the backlog until a
+        // connection closes, instead of the loop spinning on accept().
+        accept_paused = true;
+      }
+    }
+
+    if (fds[0].revents & POLLIN) {
+      int msgs[64];
+      const ssize_t got = ::read(wake_pipe_[0], msgs, sizeof msgs);
+      for (ssize_t k = 0; k < got / static_cast<ssize_t>(sizeof(int)); ++k) {
+        if (msgs[k] < 0) {
+          if (!stopping) begin_drain();
+          continue;
+        }
+        // A worker is done with this connection: serve what the client
+        // pipelined behind the answered request, or close.
+        const auto it = conns.find(msgs[k]);
+        Conn& c = it->second;
+        const bool gone = c.lease->gone.load(std::memory_order_acquire);
+        c.lease.reset();
+        if (gone || stopping || !serve_frames(it->first, c)) close_conn(it);
+      }
+    }
   }
-  ::close(fd);
 }
 
-bool Server::handle_request(int fd, const std::string& line,
-                            spice::SimSession& session, WorkerState& w) {
-  const auto t_service0 = std::chrono::steady_clock::now();
+bool Server::serve_frames(int fd, Conn& c) {
+  std::string line;
+  while (!c.lease) {  // a lent connection's next frame waits for its return
+    switch (c.frames.next(&line)) {
+      case FrameStatus::kFrame:
+        if (!handle_frame(fd, c, line)) return false;
+        break;
+      case FrameStatus::kNeedMore:
+        return true;
+      case FrameStatus::kTooLarge:
+        // The frame boundary is lost once a line is cut off mid-stream, so
+        // reject-and-close is the only safe resynchronization.
+        stats_.rejected_too_large.inc();
+        write_frame(fd,
+                    error_doc("too_large",
+                              "request frame exceeds " +
+                                  std::to_string(cfg_.max_request_bytes) +
+                                  " bytes")
+                        .dump(),
+                    io_write_budget_s(cfg_));
+        return false;
+    }
+  }
+  return true;
+}
+
+bool Server::handle_frame(int fd, Conn& c, const std::string& line) {
+  const Json* id = nullptr;
+  auto reply = [&](Json doc) {
+    if (id) doc.set("id", *id);
+    return write_frame(fd, doc.dump(), io_write_budget_s(cfg_));
+  };
+
   Json req;
   try {
     req = Json::parse(line);
   } catch (const std::exception& e) {
     stats_.bad_requests.inc();
-    return send_doc(fd,
-                    error_doc("bad_request",
-                              std::string("request is not valid JSON: ") +
-                                  e.what()),
-                    cfg_.write_timeout_s);
+    return reply(error_doc(
+        "bad_request", std::string("request is not valid JSON: ") + e.what()));
   }
   if (!req.is_object()) {
     stats_.bad_requests.inc();
-    return send_doc(fd,
-                    error_doc("bad_request", "request must be a JSON object"),
-                    cfg_.write_timeout_s);
+    return reply(error_doc("bad_request", "request must be a JSON object"));
   }
-  const Json* id = req.find("id");
-
-  auto reply = [&](Json doc) {
-    if (id) doc.set("id", *id);
-    return send_doc(fd, doc, cfg_.write_timeout_s);
-  };
+  id = req.find("id");
 
   std::string type;
   if (const Json* t = req.find("type")) {
@@ -424,93 +487,123 @@ bool Server::handle_request(int fd, const std::string& line,
     }
     deadline_s = dl->as_double() * 1e-3;
   }
-  deadline_s = std::min(std::max(deadline_s, 1e-3), cfg_.max_deadline_s);
 
-  // Per-request deadline chained to the server-wide drain token: whichever
-  // fires first cancels the solve at its next poll point.
-  phys::CancelToken token(&drain_token_);
-  token.set_deadline_after(deadline_s);
-  Watch watch;
-  watch.fd = fd;
-  watch.token = &token;
-  watch_add(&watch);
-  stats_.requests_run.inc();
-  stats_.in_flight.add(1);
+  RunRequest run;
+  run.fd = fd;
+  run.deck = deck->as_string();
+  run.deadline_s = std::min(std::max(deadline_s, 1e-3), cfg_.max_deadline_s);
+  if (id) run.id = *id;
+  c.lease = std::make_unique<Lease>(&drain_token_);
+  run.lease = c.lease.get();
+  run.admitted_at = std::chrono::steady_clock::now();
+  if (queue_.try_push(std::move(run))) return true;
 
-  Json doc;
-  try {
-    doc = session.run_deck_text(deck->as_string(), &token);
-  } catch (const std::exception& e) {
-    // run_deck_text is contractually no-throw; this is the last-ditch
-    // request-isolation boundary all the same.
-    doc = error_doc("internal", e.what());
-  } catch (...) {
-    doc = error_doc("internal", "unknown exception");
-  }
+  // Admission control: shed the request with a structured overload
+  // document, never buffer it; the connection stays open.
+  c.lease.reset();
+  stats_.rejected_overload.inc();
+  return reply(error_doc("overload", "request queue full; retry later"));
+}
 
-  watch_remove(&watch);
-  stats_.in_flight.sub(1);
+// -------------------------------------------------------------- worker pool
 
-  // Fold this worker's session counters into the shared registry: the
-  // delta against what was already exported goes to the monotonic cache
-  // and phase counters (single source of truth — health and metrics both
-  // read the registry), and the live entry count to the per-worker gauge.
-  const spice::SessionCacheStats cs = session.cache_stats();
-  inst_.cache_hits.inc(cs.hits - w.exported.hits);
-  inst_.cache_misses.inc(cs.misses - w.exported.misses);
-  inst_.cache_evictions.inc(cs.evictions - w.exported.evictions);
-  w.entries.set(cs.entries);
-  w.exported = cs;
-  const spice::SolveRecord& pt = session.phases();
-  for (int p = 0; p < spice::SolveRecord::kPhases; ++p) {
-    inst_.phase_ns[p]->inc(pt.phase_ns[p] - w.exported_phases.phase_ns[p]);
-  }
-  w.exported_phases = pt;
+void Server::worker_main(WorkerState& w) {
+  // One long-lived session per worker; all workers share the immutable
+  // model registry by value (DeviceModelPtr copies of const models).
+  // Phase collection is always on in the service: the per-iteration cost
+  // is a few clock reads, and it feeds the carbon_phase_ns_total family.
+  spice::SessionOptions sopts = cfg_.session;
+  sopts.collect_phases = true;
+  spice::SimSession session(cfg_.registry, sopts);
+  while (std::optional<RunRequest> req = queue_.pop()) {
+    // Queue wait (admission → pop) is recorded apart from service time:
+    // a saturated worker pool shows up here, a slow deck shows up in
+    // carbon_request_seconds.
+    inst_.queue_wait.record_ns(since_ns(req->admitted_at));
+    const auto t_service0 = std::chrono::steady_clock::now();
 
-  // Outcome accounting.  The latency record sits in the same branch as
-  // the counter increment, before the response write, so every outcome's
-  // histogram count equals its counter at any quiescent point.
-  const long long service_ns = since_ns(t_service0);
-  const Json* ok = doc.find("ok");
-  if (ok && ok->is_bool() && ok->as_bool()) {
-    stats_.requests_ok.inc();
-    inst_.lat_ok.record_ns(service_ns);
-  } else {
-    std::string etype = "internal";
-    if (const Json* err = doc.find("error")) {
-      if (const Json* t = err->find("type")) {
-        if (t->is_string()) etype = t->as_string();
+    // Per-request deadline chained to the server-wide drain token: whichever
+    // fires first cancels the solve at its next poll point, and so does the
+    // I/O thread when the peer hangs up.
+    phys::CancelToken& token = req->lease->token;
+    token.set_deadline_after(req->deadline_s);
+    stats_.requests_run.inc();
+    stats_.in_flight.add(1);
+
+    Json doc;
+    try {
+      doc = session.run_deck_text(req->deck, &token);
+    } catch (const std::exception& e) {
+      // run_deck_text is contractually no-throw; this is the last-ditch
+      // request-isolation boundary all the same.
+      doc = error_doc("internal", e.what());
+    } catch (...) {
+      doc = error_doc("internal", "unknown exception");
+    }
+
+    stats_.in_flight.sub(1);
+
+    // Fold this worker's session counters into the shared registry: the
+    // delta against what was already exported goes to the monotonic cache
+    // and phase counters (single source of truth — health and metrics both
+    // read the registry), and the live entry count to the per-worker gauge.
+    const spice::SessionCacheStats cs = session.cache_stats();
+    inst_.cache_hits.inc(cs.hits - w.exported.hits);
+    inst_.cache_misses.inc(cs.misses - w.exported.misses);
+    inst_.cache_evictions.inc(cs.evictions - w.exported.evictions);
+    w.entries.set(cs.entries);
+    w.exported = cs;
+    const spice::SolveRecord& pt = session.phases();
+    for (int p = 0; p < spice::SolveRecord::kPhases; ++p) {
+      inst_.phase_ns[p]->inc(pt.phase_ns[p] - w.exported_phases.phase_ns[p]);
+    }
+    w.exported_phases = pt;
+
+    // Outcome accounting.  The latency record sits in the same branch as
+    // the counter increment, before the response write, so every outcome's
+    // histogram count equals its counter at any quiescent point.
+    const long long service_ns = since_ns(t_service0);
+    const Json* ok = doc.find("ok");
+    if (ok && ok->is_bool() && ok->as_bool()) {
+      stats_.requests_ok.inc();
+      inst_.lat_ok.record_ns(service_ns);
+    } else {
+      std::string etype = "internal";
+      if (const Json* err = doc.find("error")) {
+        if (const Json* t = err->find("type")) {
+          if (t->is_string()) etype = t->as_string();
+        }
+      }
+      if (etype == "parse") {
+        stats_.parse_errors.inc();
+        inst_.lat_parse.record_ns(service_ns);
+      } else if (etype == "solve_failure") {
+        stats_.solve_failures.inc();
+        inst_.lat_solve_failure.record_ns(service_ns);
+      } else if (etype == "timeout") {
+        stats_.timeouts.inc();
+        inst_.lat_timeout.record_ns(service_ns);
+      } else if (etype == "cancelled") {
+        stats_.cancelled.inc();
+        inst_.lat_cancelled.record_ns(service_ns);
+      } else {
+        stats_.internal_errors.inc();
+        inst_.lat_internal.record_ns(service_ns);
       }
     }
-    if (etype == "parse") {
-      stats_.parse_errors.inc();
-      inst_.lat_parse.record_ns(service_ns);
-    } else if (etype == "solve_failure") {
-      stats_.solve_failures.inc();
-      inst_.lat_solve_failure.record_ns(service_ns);
-    } else if (etype == "timeout") {
-      stats_.timeouts.inc();
-      inst_.lat_timeout.record_ns(service_ns);
-    } else if (etype == "cancelled") {
-      stats_.cancelled.inc();
-      inst_.lat_cancelled.record_ns(service_ns);
-    } else {
-      stats_.internal_errors.inc();
-      inst_.lat_internal.record_ns(service_ns);
-    }
-  }
 
-  if (watch.gone.load(std::memory_order_acquire)) {
-    // The client hung up mid-solve (the monitor cancelled it); there is
-    // nobody left to write the document to.
-    stats_.disconnects.inc();
-    return false;
+    // A client that hung up mid-solve (the I/O thread cancelled it) has
+    // nobody left to read the document; a failed write is the same loss.
+    if (req->id) doc.set("id", *req->id);
+    if (req->lease->gone.load(std::memory_order_acquire) ||
+        !write_frame(req->fd, doc.dump(), cfg_.write_timeout_s)) {
+      stats_.disconnects.inc();
+      req->lease->gone.store(true, std::memory_order_release);
+    }
+
+    // Hand the connection back; the lease is the I/O thread's again.
+    send_int(wake_pipe_[1], req->fd);
   }
-  if (!reply(std::move(doc))) {
-    stats_.disconnects.inc();
-    return false;
-  }
-  return true;
 }
 
 Json Server::health_doc() const {
@@ -567,79 +660,18 @@ Json Server::metrics_doc() const {
   return doc;
 }
 
-void Server::stats_main() {
-  const auto interval = std::chrono::duration<double>(cfg_.stats_interval_s);
-  std::unique_lock<std::mutex> lock(stats_mu_);
-  while (!stats_cv_.wait_for(lock, interval, [&] { return stats_stop_; })) {
-    const long run = stats_.requests_run.load();
-    const long ok = stats_.requests_ok.load();
-    const long failed = stats_.parse_errors.load() +
-                        stats_.solve_failures.load() +
-                        stats_.timeouts.load() + stats_.cancelled.load() +
-                        stats_.internal_errors.load();
-    std::fprintf(stderr,
-                 "[carbon_simd] accepted=%ld run=%ld ok=%ld failed=%ld "
-                 "in_flight=%ld queue=%zu cache_hits=%ld cache_misses=%ld\n",
-                 stats_.accepted.load(), run, ok, failed,
-                 stats_.in_flight.load(), queue_.depth(),
-                 inst_.cache_hits.load(), inst_.cache_misses.load());
-  }
-}
-
-bool Server::send_doc(int fd, const core::Json& doc, double timeout_s) {
-  return write_frame(fd, doc.dump(), timeout_s);
-}
-
-// ------------------------------------------------------- disconnect monitor
-
-void Server::watch_add(Watch* w) {
-  {
-    std::lock_guard<std::mutex> lock(watch_mu_);
-    watches_.push_back(w);
-  }
-  watch_cv_.notify_all();
-}
-
-void Server::watch_remove(Watch* w) {
-  std::lock_guard<std::mutex> lock(watch_mu_);
-  watches_.erase(std::remove(watches_.begin(), watches_.end(), w),
-                 watches_.end());
-}
-
-void Server::monitor_main() {
-  std::unique_lock<std::mutex> lock(watch_mu_);
-  std::vector<struct pollfd> fds;
-  while (!monitor_stop_) {
-    if (watches_.empty()) {
-      watch_cv_.wait(lock,
-                     [&] { return monitor_stop_ || !watches_.empty(); });
-      continue;
-    }
-    fds.clear();
-    for (const Watch* w : watches_) {
-      struct pollfd p;
-      p.fd = w->fd;
-      // POLLRDHUP catches an orderly close() by the peer; POLLERR/POLLHUP
-      // (always reported) catch resets.  POLLIN is deliberately absent:
-      // pipelined request bytes must not look like a disconnect.
-      p.events = POLLRDHUP;
-      p.revents = 0;
-      fds.push_back(p);
-    }
-    if (::poll(fds.data(), fds.size(), 0) > 0) {
-      for (std::size_t i = 0; i < fds.size(); ++i) {
-        if (fds[i].revents & (POLLRDHUP | POLLHUP | POLLERR | POLLNVAL)) {
-          // Cancel the in-flight solve; the worker sees `gone` and skips
-          // the (pointless) response write.
-          watches_[i]->gone.store(true, std::memory_order_release);
-          watches_[i]->token->cancel();
-        }
-      }
-    }
-    // ~25 ms disconnect-detection latency: far below any solve worth
-    // cancelling, far above the poll syscall cost.
-    watch_cv_.wait_for(lock, std::chrono::milliseconds(25));
-  }
+void Server::print_stats() const {
+  const long run = stats_.requests_run.load();
+  const long ok = stats_.requests_ok.load();
+  const long failed = stats_.parse_errors.load() +
+                      stats_.solve_failures.load() + stats_.timeouts.load() +
+                      stats_.cancelled.load() + stats_.internal_errors.load();
+  std::fprintf(stderr,
+               "[carbon_simd] accepted=%ld run=%ld ok=%ld failed=%ld "
+               "in_flight=%ld queue=%zu cache_hits=%ld cache_misses=%ld\n",
+               stats_.accepted.load(), run, ok, failed,
+               stats_.in_flight.load(), queue_.depth(),
+               inst_.cache_hits.load(), inst_.cache_misses.load());
 }
 
 }  // namespace carbon::serve

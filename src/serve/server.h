@@ -7,18 +7,25 @@
 ///
 /// Architecture (one Server instance per process):
 ///
-///   accept loop ──> BoundedQueue<fd> ──> worker pool (one SimSession per
-///        │            (admission         worker, all sharing one
-///        │             control)          immutable ModelRegistry)
-///        │                                   │
-///        └── signal pipe (SIGTERM/INT)       └── disconnect monitor
-///            starts the graceful drain           (cancels in-flight
-///                                                 solves of dead peers)
+///   I/O thread (poll) ──> BoundedQueue<RunRequest> ──> worker pool (one
+///     owns every socket:    (admission control)        SimSession per
+///     accept, framing,                                  worker, all sharing
+///     health/metrics,       <── wake pipe ──────────── one immutable
+///     hang-up, drain,            (fd returned after     ModelRegistry)
+///     stats line                  its reply; -1 = drain)
+///
+/// A connection is idle (the I/O thread reads it) or lent (a worker holds
+/// its one run request).  A lent connection is polled only for peer
+/// hang-up, so its replies stay in request order and no two threads ever
+/// write one socket.  Idle connections cost no worker: their number is
+/// bounded only by the process fd limit, and each buffers at most
+/// max_request_bytes of a partial frame (plus one read).
 ///
 /// Robustness contract:
-///  * Load is shed, never buffered unboundedly: a full queue rejects the
-///    connection with {"ok":false,"error":{"type":"overload"}}; a frame
-///    over max_request_bytes gets {"type":"too_large"}.
+///  * Load is shed, never buffered unboundedly: a run request that finds
+///    the queue full gets {"ok":false,"error":{"type":"overload"}} and the
+///    connection stays open; a frame over max_request_bytes gets
+///    {"type":"too_large"} and a close.
 ///  * Every request admitted produces exactly one response document.  Any
 ///    exception at the request boundary renders as {"type":"internal"} —
 ///    a bad deck can never take the process down.
@@ -28,12 +35,13 @@
 ///    transient step and AC/noise frequency point: a hung solve becomes a
 ///    bounded {"type":"timeout"} document, mirroring the ensemble
 ///    engine's hung-corner handling.
-///  * Disconnect detection: a monitor thread polls in-flight connections
-///    for peer hang-up and cancels their solves, so a client that gives
-///    up does not keep burning a worker.
-///  * Slow-client writes are bounded by write_timeout_s.
-///  * Graceful drain (SIGTERM/SIGINT via drain_notify_fd(), or
-///    request_drain()): stop accepting, finish — or cancel at the drain
+///  * Disconnect detection: the I/O thread polls every lent connection for
+///    peer hang-up and cancels its request, so a client that gives up does
+///    not keep burning a worker.
+///  * Worker replies are bounded by write_timeout_s; the I/O thread's own
+///    replies by the shorter of 1 s and write_timeout_s.
+///  * Graceful drain (SIGTERM/SIGINT or request_drain()): close the
+///    listener and every idle connection, finish — or cancel at the drain
 ///    budget — all admitted work, flush every response, exit run() with 0.
 ///
 /// Wire protocol: one JSON object per line.
@@ -48,10 +56,10 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstddef>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,7 +80,7 @@ struct ServerConfig {
   int tcp_port = 0;  ///< 0 = ephemeral; read the bound port via port()
 
   int workers = 4;          ///< worker threads (one SimSession each)
-  int queue_capacity = 64;  ///< admitted-connection backlog before overload
+  int queue_capacity = 64;  ///< admitted run requests before overload
 
   std::size_t max_request_bytes = 4u << 20;  ///< per-frame ceiling
 
@@ -122,7 +130,7 @@ struct ServerInstruments {
   explicit ServerInstruments(obs::MetricsRegistry& m);
 
   obs::Gauge& queue_depth;      ///< refreshed at exposition time
-  obs::Histogram& queue_wait;   ///< admission → worker pop, per connection
+  obs::Histogram& queue_wait;   ///< admission → worker pop, per run request
   // Request service latency, one histogram per outcome class; recording
   // happens adjacent to the matching ServerStats counter increment so the
   // histogram count and the counter are always conserved together.
@@ -150,9 +158,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, listen and spawn the accept loop, worker pool and disconnect
-  /// monitor.  Throws std::runtime_error when the socket cannot be set
-  /// up.  Returns once the server is accepting.
+  /// Bind, listen and spawn the I/O thread and the worker pool.  Throws
+  /// std::runtime_error when the socket cannot be set up.  Returns once
+  /// the server is accepting.
   void start();
 
   /// Block until the drain completes (all threads joined, all admitted
@@ -162,16 +170,12 @@ class Server {
   /// start() + wait(); the tool's main loop.  Returns 0 on a clean drain.
   int run();
 
-  /// Begin the graceful drain from any thread: stop accepting, let
-  /// admitted work finish within drain_budget_s (hung solves are
-  /// cancelled at the budget), flush responses, then wake wait().
-  /// Idempotent.  NOT async-signal-safe — from a signal handler, write
-  /// one byte to drain_notify_fd() instead.
+  /// Begin the graceful drain from any thread: stop accepting, close idle
+  /// connections, let admitted work finish within drain_budget_s (hung
+  /// solves are cancelled at the budget), flush responses, then wake
+  /// wait().  Idempotent and async-signal-safe (one lock-free exchange and
+  /// at most one pipe write), so a SIGTERM handler may call it.
   void request_drain();
-
-  /// Write end of the drain pipe: a signal handler writing a single byte
-  /// here triggers the same graceful drain (async-signal-safe).
-  int drain_notify_fd() const { return signal_pipe_[1]; }
 
   /// Bound TCP port (after start(); 0 for Unix-domain listeners).
   int port() const { return port_; }
@@ -189,61 +193,51 @@ class Server {
 
  private:
   struct WorkerState;
-  struct Watch;
+  struct Lease;
+  struct Conn;
 
-  void accept_main();
+  /// One admitted run request, decoded on the I/O thread.
+  struct RunRequest {
+    int fd = -1;              ///< the lent connection the reply goes to
+    Lease* lease = nullptr;   ///< owned by the I/O thread until fd returns
+    std::string deck;
+    double deadline_s = 0.0;  ///< clamped budget, armed at worker pop
+    std::optional<core::Json> id;
+    std::chrono::steady_clock::time_point admitted_at{};
+  };
+
+  void io_main();
   void worker_main(WorkerState& w);
-  void monitor_main();
-  void stats_main();
-  void begin_drain_locked();
 
-  /// Serve one admitted connection until EOF, error, oversized frame or
-  /// drain.
-  void serve_connection(int fd, spice::SimSession& session, WorkerState& w);
-  /// Handle one parsed frame.  Returns false when the connection must be
-  /// dropped (client gone / write failed).
-  bool handle_request(int fd, const std::string& line,
-                      spice::SimSession& session, WorkerState& w);
+  /// Handle the complete frames buffered on idle connection @p fd until
+  /// one lends it to a worker.  False: close the connection.
+  bool serve_frames(int fd, Conn& c);
+  /// Answer one frame, or lend the connection with a valid run request.
+  /// False: close the connection.
+  bool handle_frame(int fd, Conn& c, const std::string& line);
   core::Json health_doc() const;
   core::Json metrics_doc() const;
-  bool send_doc(int fd, const core::Json& doc, double timeout_s);
-
-  void watch_add(Watch* w);
-  void watch_remove(Watch* w);
+  void print_stats() const;
 
   ServerConfig cfg_;
   obs::MetricsRegistry metrics_;  ///< must precede the instrument structs
   ServerStats stats_;
   ServerInstruments inst_;
-  BoundedQueue<Admitted> queue_;
+  BoundedQueue<RunRequest> queue_;
 
   int listen_fd_ = -1;
   int port_ = 0;
-  int signal_pipe_[2] = {-1, -1};  ///< [0] polled by accept loop
-  int drain_pipe_[2] = {-1, -1};   ///< write end closed on drain; workers
-                                   ///< poll [0] and wake on POLLHUP
+  /// Ints to the I/O thread: a lent fd coming back from its worker, or -1
+  /// for a drain (request_drain() writes at most one).
+  int wake_pipe_[2] = {-1, -1};
 
   phys::CancelToken drain_token_;  ///< parent of every request token
   std::atomic<bool> draining_{false};
   std::atomic<bool> started_{false};
-  std::atomic<bool> stopped_{false};
 
-  std::thread accept_thread_;
+  std::thread io_thread_;
   std::vector<std::thread> worker_threads_;
   std::vector<std::unique_ptr<WorkerState>> worker_states_;
-  std::thread monitor_thread_;
-
-  // Periodic stderr summary (stats_interval_s > 0).
-  std::thread stats_thread_;
-  std::mutex stats_mu_;
-  std::condition_variable stats_cv_;
-  bool stats_stop_ = false;
-
-  // Disconnect monitor state.
-  std::mutex watch_mu_;
-  std::condition_variable watch_cv_;
-  std::vector<Watch*> watches_;
-  bool monitor_stop_ = false;
 };
 
 }  // namespace carbon::serve

@@ -4,7 +4,9 @@
 /// contract — good decks, parse errors, solve failures, injected hangs
 /// cut by deadlines, admission-control overload shedding, oversized-frame
 /// rejection, mid-solve client disconnects cancelling the in-flight
-/// solve, and the graceful drain flushing every admitted response.
+/// solve, idle and busy neighbours that must not starve a client,
+/// in-order pipelining, and the graceful drain flushing every admitted
+/// response — plus unit tests of the frame splitter.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -133,15 +136,19 @@ class Client {
       }
       char chunk[4096];
       const ssize_t got = ::read(fd_, chunk, sizeof chunk);
+      if (got == 0) eof_ = true;
       if (got <= 0) return std::nullopt;
       buf_.append(chunk, static_cast<std::size_t>(got));
     }
   }
 
-  /// send + recv + parse.  A failed send still attempts the read: an
-  /// overload-shed connection gets its rejection document written and
-  /// closed server-side, which can EPIPE a concurrent send while the
-  /// document sits readable in the socket buffer.
+  /// True once a read saw the server close the connection.
+  bool eof() const { return eof_; }
+
+  /// send + recv + parse.  A failed send still attempts the read: a
+  /// too_large rejection is written and closed server-side, which can EPIPE
+  /// a concurrent send while the document sits readable in the socket
+  /// buffer.
   std::optional<Json> rpc(const Json& req, double timeout_s = 15.0) {
     send_line(req.dump());
     const auto line = recv_line(timeout_s);
@@ -152,6 +159,7 @@ class Client {
  private:
   int fd_ = -1;
   bool connected_ = false;
+  bool eof_ = false;
   std::string buf_;
 };
 
@@ -161,6 +169,22 @@ Json run_request(const std::string& deck, double deadline_ms = 0.0) {
   req.set("deck", deck);
   if (deadline_ms > 0.0) req.set("deadline_ms", deadline_ms);
   return req;
+}
+
+Json health_request() {
+  auto req = Json::object();
+  req.set("type", "health");
+  return req;
+}
+
+/// Poll @p cond every 10 ms for up to 10 s; true once it holds.
+template <typename Cond>
+bool eventually(Cond cond) {
+  for (int i = 0; i < 1000; ++i) {
+    if (cond()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return cond();
 }
 
 serve::ServerConfig base_config(const std::string& path) {
@@ -199,9 +223,66 @@ TEST(BoundedQueue, AdmissionControlAndDrain) {
   EXPECT_FALSE(q.pop().has_value());
 }
 
+TEST(FrameReader, SplitsOneFrameFedInAnyChunking) {
+  // Longer than one 4 KiB chunk, so both feeds split it.
+  const std::string frame = run_request(std::string(9000, '*')).dump();
+  const std::string wire = frame + "\n";
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{4096}}) {
+    serve::FrameReader reader(1u << 20);
+    std::string out;
+    for (std::size_t off = 0; off < wire.size(); off += chunk) {
+      EXPECT_EQ(reader.next(&out), serve::FrameStatus::kNeedMore);
+      reader.append(wire.data() + off, std::min(chunk, wire.size() - off));
+    }
+    ASSERT_EQ(reader.next(&out), serve::FrameStatus::kFrame) << chunk;
+    EXPECT_EQ(out, frame);
+    EXPECT_EQ(reader.next(&out), serve::FrameStatus::kNeedMore);
+  }
+}
+
+TEST(FrameReader, SplitsPipelinedFramesInOneChunk) {
+  serve::FrameReader reader(1u << 20);
+  const std::string wire = "{\"type\":\"health\"}\n\nnot json\n{\"id\":";
+  reader.append(wire.data(), wire.size());
+  std::string out;
+  ASSERT_EQ(reader.next(&out), serve::FrameStatus::kFrame);
+  EXPECT_EQ(out, "{\"type\":\"health\"}");
+  ASSERT_EQ(reader.next(&out), serve::FrameStatus::kFrame);
+  EXPECT_EQ(out, "");
+  ASSERT_EQ(reader.next(&out), serve::FrameStatus::kFrame);
+  EXPECT_EQ(out, "not json");
+  EXPECT_EQ(reader.next(&out), serve::FrameStatus::kNeedMore);
+  // The partial tail completes with the next chunk.
+  reader.append("4}\n", 3);
+  ASSERT_EQ(reader.next(&out), serve::FrameStatus::kFrame);
+  EXPECT_EQ(out, "{\"id\":4}");
+  EXPECT_EQ(reader.next(&out), serve::FrameStatus::kNeedMore);
+}
+
+TEST(FrameReader, PartialLineOverCeilingIsTooLarge) {
+  serve::FrameReader reader(16);
+  const std::string at_ceiling(16, 'x');
+  std::string out;
+  reader.append(at_ceiling.data(), at_ceiling.size());
+  EXPECT_EQ(reader.next(&out), serve::FrameStatus::kNeedMore);
+  // One more byte and still no newline: rejected before the line ends.
+  reader.append("x", 1);
+  EXPECT_EQ(reader.next(&out), serve::FrameStatus::kTooLarge);
+
+  // A complete line over the ceiling is rejected the same way.
+  serve::FrameReader whole(16);
+  const std::string line = std::string(17, 'y') + "\n";
+  whole.append(line.data(), line.size());
+  EXPECT_EQ(whole.next(&out), serve::FrameStatus::kTooLarge);
+}
+
 TEST(Serve, RunRequestAndKeepAlive) {
   const std::string path = test_socket_path();
-  serve::Server server(base_config(path));
+  serve::ServerConfig cfg = base_config(path);
+  // One worker: a connection's requests may go to any worker, and the
+  // cache hit below needs both runs on one session.
+  cfg.workers = 1;
+  serve::Server server(std::move(cfg));
   server.start();
 
   Client c(path);
@@ -219,7 +300,7 @@ TEST(Serve, RunRequestAndKeepAlive) {
   const auto again = c.rpc(run_request(kGoodDeck));
   ASSERT_TRUE(again.has_value());
   EXPECT_TRUE((*again)["ok"].as_bool());
-  // Second run of the same topology on the same worker: a session-cache
+  // Second run of the same topology on the single worker: a session-cache
   // hit, visible in the response's session block.
   EXPECT_GE((*again)["session"]["cache_hits"].as_int(), 1);
 
@@ -339,27 +420,34 @@ TEST(Serve, OverloadIsShedWithStructuredDocument) {
   Client a(path);
   ASSERT_TRUE(a.connected());
   ASSERT_TRUE(a.send_line(run_request(kHangDeck, 1500.0).dump()));
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  // ...B occupies the single queue slot...
+  ASSERT_TRUE(eventually([&] { return server.stats().in_flight.load() == 1; }));
+  // ...B's run takes the single queue slot...
   Client b(path);
   ASSERT_TRUE(b.connected());
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  // ...so C must be shed with an overload document.
+  ASSERT_TRUE(b.send_line(run_request(kGoodDeck).dump()));
+  ASSERT_TRUE(eventually([&] { return server.queue_depth() == 1; }));
+  // ...so C's run is shed with an overload document that echoes its id.
   Client c(path);
   ASSERT_TRUE(c.connected());
-  const auto shed = c.recv_line(5.0);
+  auto shed_req = run_request(kGoodDeck);
+  shed_req.set("id", 3);
+  const auto shed = c.rpc(shed_req, 5.0);
   ASSERT_TRUE(shed.has_value());
-  EXPECT_EQ(Json::parse(*shed)["error"]["type"].as_string(), "overload");
+  EXPECT_EQ((*shed)["error"]["type"].as_string(), "overload");
+  EXPECT_EQ((*shed)["id"].as_int(), 3);
 
-  // A still gets its (timeout) document: admitted work always completes.
+  // Admitted work always completes: A's timeout document, then B's run.
   const auto a_doc = a.recv_line();
   ASSERT_TRUE(a_doc.has_value());
   EXPECT_EQ(Json::parse(*a_doc)["error"]["type"].as_string(), "timeout");
-  a.close();  // release the keep-alive so the worker can pop B
-  // B was admitted: once the worker frees up it gets served.
-  const auto b_doc = b.rpc(run_request(kGoodDeck));
+  const auto b_doc = b.recv_line();
   ASSERT_TRUE(b_doc.has_value());
-  EXPECT_TRUE((*b_doc)["ok"].as_bool());
+  EXPECT_TRUE(Json::parse(*b_doc)["ok"].as_bool());
+  // Shedding is per request: C's connection stays open and its next run
+  // is served.
+  const auto c_doc = c.rpc(run_request(kGoodDeck));
+  ASSERT_TRUE(c_doc.has_value());
+  EXPECT_TRUE((*c_doc)["ok"].as_bool());
 
   server.request_drain();
   server.wait();
@@ -378,15 +466,13 @@ TEST(Serve, DisconnectCancelsInFlightSolve) {
     std::this_thread::sleep_for(std::chrono::milliseconds(250));
     a.close();  // client gives up mid-solve
 
-    // The monitor cancels the solve and the worker frees up well before
-    // the 60 s deadline.
+    // The I/O thread sees the hang-up and cancels the solve, so the worker
+    // frees up well before the 60 s deadline.
     Client b(path);
     ASSERT_TRUE(b.connected());
     bool cleared = false;
     for (int i = 0; i < 100 && !cleared; ++i) {
-      auto req = Json::object();
-      req.set("type", "health");
-      const auto h = b.rpc(req);
+      const auto h = b.rpc(health_request());
       ASSERT_TRUE(h.has_value());
       cleared = (*h)["server"]["in_flight"].as_int() == 0 &&
                 (*h)["server"]["disconnects"].as_int() >= 1;
@@ -434,9 +520,138 @@ TEST(Serve, GracefulDrainFlushesAdmittedWork) {
   EXPECT_FALSE(late.connected());
 }
 
-TEST(Serve, HealthReportsCountersAndCacheStats) {
+TEST(Serve, DrainClosesIdleConnections) {
+  const std::string path = test_socket_path();
+  serve::ServerConfig cfg = base_config(path);
+  cfg.drain_budget_s = 0.5;
+  serve::Server server(std::move(cfg));
+  server.start();
+
+  std::vector<std::unique_ptr<Client>> idle;
+  for (int i = 0; i < 3; ++i) {
+    idle.push_back(std::make_unique<Client>(path));
+    ASSERT_TRUE(idle.back()->connected());
+  }
+  Client hung(path);
+  ASSERT_TRUE(hung.connected());
+  ASSERT_TRUE(hung.send_line(run_request(kHangDeck, 60000.0).dump()));
+  ASSERT_TRUE(eventually([&] {
+    return server.stats().accepted.load() == 4 &&
+           server.stats().in_flight.load() == 1;
+  }));
+
+  server.request_drain();
+  // Idle connections are closed at once, with nothing written...
+  for (auto& c : idle) {
+    EXPECT_FALSE(c->recv_line(10.0).has_value());
+    EXPECT_TRUE(c->eof());
+  }
+  // ...the in-flight hung run is cut at the drain budget and still gets
+  // its document...
+  const auto doc = hung.recv_line(10.0);
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(Json::parse(*doc)["error"]["type"].as_string(), "timeout");
+  // ...and the drain completes.
+  server.wait();
+  EXPECT_EQ(server.stats().timeouts.load(), 1);
+}
+
+TEST(Serve, IdleConnectionsDoNotStarveService) {
+  const std::string path = test_socket_path();
+  serve::Server server(base_config(path));  // two workers
+  server.start();
+  {
+    // Twice as many idle connections as workers...
+    std::vector<std::unique_ptr<Client>> idle;
+    for (int i = 0; i < 4; ++i) {
+      idle.push_back(std::make_unique<Client>(path));
+      ASSERT_TRUE(idle.back()->connected());
+    }
+    // ...and a fifth connection is still served.
+    Client c(path);
+    ASSERT_TRUE(c.connected());
+    const auto h = c.rpc(health_request(), 5.0);
+    ASSERT_TRUE(h.has_value()) << "health starved by idle connections";
+    EXPECT_TRUE((*h)["ok"].as_bool());
+    const auto doc = c.rpc(run_request(kGoodDeck), 5.0);
+    ASSERT_TRUE(doc.has_value()) << "run starved by idle connections";
+    EXPECT_TRUE((*doc)["ok"].as_bool());
+  }
+  server.request_drain();
+  server.wait();
+}
+
+TEST(Serve, ClosedLoopNeighbourDoesNotStarveAnother) {
+  const std::string path = test_socket_path();
+  serve::ServerConfig cfg = base_config(path);
+  cfg.workers = 1;
+  serve::Server server(std::move(cfg));
+  server.start();
+  {
+    Client a(path);
+    ASSERT_TRUE(a.connected());
+    ASSERT_TRUE(a.rpc(run_request(kGoodDeck)).has_value());
+    // A sends its next run as soon as each reply lands, until B is served
+    // (or 20 s pass).
+    std::atomic<bool> b_done{false};
+    std::thread neighbour([&] {
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (!b_done.load() && std::chrono::steady_clock::now() < until) {
+        if (!a.rpc(run_request(kGoodDeck)).has_value()) break;
+      }
+    });
+    Client b(path);
+    const auto doc = b.rpc(run_request(kGoodDeck), 10.0);
+    b_done.store(true);
+    neighbour.join();
+    ASSERT_TRUE(doc.has_value()) << "B starved by A's closed loop";
+    EXPECT_TRUE((*doc)["ok"].as_bool());
+  }
+  server.request_drain();
+  server.wait();
+}
+
+TEST(Serve, PipelinedFramesAnswerInOrder) {
   const std::string path = test_socket_path();
   serve::Server server(base_config(path));
+  server.start();
+  {
+    Client c(path);
+    ASSERT_TRUE(c.connected());
+    auto run1 = run_request(kGoodDeck);
+    run1.set("id", 1);
+    auto health = health_request();
+    health.set("id", 2);
+    auto run4 = run_request(kGoodDeck);
+    run4.set("id", 4);
+    // Four frames in one write: replies come back in request order.
+    ASSERT_TRUE(c.send_line(run1.dump() + "\n" + health.dump() +
+                            "\nnot json\n" + run4.dump()));
+
+    const Json d1 = Json::parse(c.recv_line().value());
+    EXPECT_EQ(d1["id"].as_int(), 1);
+    EXPECT_TRUE(d1["ok"].as_bool()) << d1.dump();
+    EXPECT_NEAR(d1["steps"].at(0)["measures"]["vout"].as_double(), 0.5, 1e-9);
+    const Json d2 = Json::parse(c.recv_line().value());
+    EXPECT_EQ(d2["id"].as_int(), 2);
+    EXPECT_EQ(d2["type"].as_string(), "health");
+    const Json d3 = Json::parse(c.recv_line().value());
+    EXPECT_EQ(d3["error"]["type"].as_string(), "bad_request");
+    EXPECT_EQ(d3.find("id"), nullptr);
+    const Json d4 = Json::parse(c.recv_line().value());
+    EXPECT_EQ(d4["id"].as_int(), 4);
+    EXPECT_TRUE(d4["ok"].as_bool()) << d4.dump();
+  }
+  server.request_drain();
+  server.wait();
+}
+
+TEST(Serve, HealthReportsCountersAndCacheStats) {
+  const std::string path = test_socket_path();
+  serve::ServerConfig cfg = base_config(path);
+  cfg.workers = 1;  // both runs on one session: one miss, then a hit
+  serve::Server server(std::move(cfg));
   server.start();
   {
     Client c(path);
@@ -456,7 +671,7 @@ TEST(Serve, HealthReportsCountersAndCacheStats) {
     EXPECT_EQ(srv["in_flight"].as_int(), 0);
     EXPECT_EQ(srv["queue_capacity"].as_int(), 8);
     EXPECT_FALSE(srv["draining"].as_bool());
-    // Both runs hit one worker: 1 miss then 1 hit.
+    // Both runs on the single worker: 1 miss then 1 hit.
     EXPECT_EQ(srv["session_cache"]["misses"].as_int(), 1);
     EXPECT_GE(srv["session_cache"]["hits"].as_int(), 1);
   }
@@ -482,7 +697,7 @@ TEST(Serve, ConcurrentFaultMixLoad) {
   auto client_thread = [&](int seed) {
     for (int i = 0; i < 6; ++i) {
       Client c(path);
-      if (!c.connected()) continue;  // overload shed at accept is fine
+      if (!c.connected()) continue;  // a full listen backlog is fine
       const int kind = (seed + i) % 5;
       std::optional<Json> doc;
       switch (kind) {
@@ -498,7 +713,7 @@ TEST(Serve, ConcurrentFaultMixLoad) {
           continue;
       }
       if (!doc.has_value()) {
-        // Overload rejection arrives as a document too; only transport
+        // An overload rejection arrives as a document too; only transport
         // breakage counts as failure.
         ++transport_failures;
         continue;
@@ -543,10 +758,16 @@ TEST(Serve, TcpListenerServesEphemeralPort) {
                       sizeof addr),
             0);
   ASSERT_TRUE(serve::write_frame(fd, run_request(kGoodDeck).dump(), 5.0));
-  serve::FrameReader reader(fd, 1u << 20);
-  std::string line;
-  ASSERT_EQ(reader.read_frame(&line), serve::ReadStatus::kFrame);
-  EXPECT_TRUE(Json::parse(line)["ok"].as_bool());
+  std::string reply;
+  char chunk[4096];
+  ssize_t got = 0;
+  while (reply.find('\n') == std::string::npos &&
+         (got = ::read(fd, chunk, sizeof chunk)) > 0) {
+    reply.append(chunk, static_cast<std::size_t>(got));
+  }
+  const std::size_t nl = reply.find('\n');
+  ASSERT_NE(nl, std::string::npos);
+  EXPECT_TRUE(Json::parse(reply.substr(0, nl))["ok"].as_bool());
   ::close(fd);
 
   server.request_drain();

@@ -15,18 +15,18 @@
 ///   {"type":"health"}
 ///   {"type":"metrics"}    (Prometheus text + JSON metric snapshot)
 ///
-/// SIGTERM/SIGINT start the graceful drain: stop accepting, finish or
-/// cancel in-flight work within --drain-ms, flush every response, exit 0.
+/// SIGTERM/SIGINT start the graceful drain: stop accepting, close idle
+/// connections, finish or cancel in-flight work within --drain-ms, flush
+/// every response, exit 0.
 /// See src/serve/server.h for the full robustness contract.
 
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
-
-#include <unistd.h>
 
 #include "device/alpha_power.h"
 #include "device/faulty.h"
@@ -68,12 +68,10 @@ void add_test_models(carbon::spice::ModelRegistry& reg) {
 carbon::serve::Server* g_server = nullptr;
 
 extern "C" void drain_signal_handler(int) {
-  // Async-signal-safe: one byte into the server's drain pipe.
-  if (g_server != nullptr) {
-    const char byte = 'q';
-    [[maybe_unused]] const ssize_t n =
-        ::write(g_server->drain_notify_fd(), &byte, 1);
-  }
+  // request_drain() is async-signal-safe: one int into the wake pipe.
+  const int saved_errno = errno;
+  if (g_server != nullptr) g_server->request_drain();
+  errno = saved_errno;
 }
 
 int usage(int code) {

@@ -12,12 +12,17 @@ and asserts the robustness contract:
   * hung solves come back as bounded {"type":"timeout"} documents;
   * oversized frames are rejected with {"type":"too_large"};
   * a saturated queue sheds load with {"type":"overload"} documents;
+  * idle connections cost no worker: with more idle sockets open than
+    workers, a fresh socket's health request and good deck are answered;
+  * the process fd limit only delays new connections: a daemon started
+    with a low RLIMIT_NOFILE and held past it does not spin, and serves a
+    fresh health request once some connections close;
   * health reporting stays coherent (in_flight returns to 0);
   * {"type":"metrics"} exposes a conserved Prometheus snapshot: each
     carbon_request_seconds{outcome=X} histogram count equals the
     matching carbon_requests_total{outcome=X} counter, and the
-    queue-wait histogram count equals accepted minus overload-shed
-    connections once the storm quiesces;
+    queue-wait histogram count equals the started run requests once the
+    storm quiesces;
   * SIGTERM drains gracefully: the process exits 0 within the drain
     budget after finishing or cancelling in-flight work.
 
@@ -26,7 +31,9 @@ Exits 0 when every assertion holds.  Stdlib only.
 
 import argparse
 import json
+import os
 import re
+import resource
 import signal
 import socket
 import subprocess
@@ -58,6 +65,12 @@ def fail(msg):
     with failures_lock:
         failures.append(msg)
     print("FAIL: " + msg, file=sys.stderr)
+
+
+WORKERS = 4
+# Descriptor limit of the fd-limit daemon: stdio, the listener and the
+# wake pipe leave it room for about 26 connections.
+FD_LIMIT = 32
 
 
 class Client:
@@ -203,17 +216,88 @@ def check_metrics(port):
         fail("metrics: no finished requests recorded")
     accepted = prom_value(text, "carbon_accepted_total")
     shed = prom_value(text, "carbon_rejected_total", 'reason="overload"')
+    started = prom_value(text, "carbon_requests_started_total")
     qwait = prom_value(text, "carbon_queue_wait_seconds_count")
-    if accepted is None or shed is None or qwait is None:
+    if None in (accepted, shed, started, qwait):
         fail("metrics: missing admission samples")
-    elif qwait != accepted - shed:
-        fail(f"metrics: queue-wait count {qwait} != accepted {accepted} "
-             f"- overload {shed}")
+    elif qwait != started:
+        fail(f"metrics: queue-wait count {qwait} != started run requests "
+             f"{started}")
     # The JSON snapshot must carry the same vocabulary.
     if "carbon_request_seconds" not in (doc.get("metrics") or {}):
         fail("metrics: JSON snapshot missing carbon_request_seconds")
     print("metrics: conserved over %d finished requests "
           "(accepted=%d shed=%d)" % (finished, accepted, shed))
+
+
+def check_idle_sockets(port):
+    """Idle keep-alive sockets must not hold workers: with workers + 2 of
+    them open, a fresh socket is still served."""
+    idle = [Client(port) for _ in range(WORKERS + 2)]
+    try:
+        c = Client(port, timeout=5.0)
+        try:
+            expect_type(c.rpc({"type": "health"}), "ok",
+                        "health beside idle sockets")
+            expect_type(c.rpc({"type": "run", "deck": GOOD_DECK}), "ok",
+                        "run beside idle sockets")
+        finally:
+            c.close()
+    finally:
+        for s in idle:
+            s.close()
+    print(f"idle sockets: served beside {len(idle)} idle connections")
+
+
+def cpu_seconds(pid):
+    with open(f"/proc/{pid}/stat") as f:
+        fields = f.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def check_fd_limit(binary):
+    """Hold more connections than a low RLIMIT_NOFILE admits: the daemon
+    must neither spin on accept() nor stop serving once some close."""
+    def lower_limit():  # runs in the child only
+        _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (FD_LIMIT, hard))
+
+    proc = subprocess.Popen(
+        [binary, "--tcp", "0", "--workers", "2", "--drain-ms", "1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lower_limit)
+    held = []
+    try:
+        port = json.loads(proc.stdout.readline())["port"]
+        held = [Client(port, timeout=5.0) for _ in range(2 * FD_LIMIT)]
+        time.sleep(0.2)  # let the daemon take what it can
+        cpu0 = cpu_seconds(proc.pid)
+        time.sleep(1.0)
+        busy = cpu_seconds(proc.pid) - cpu0
+        if busy > 0.5:
+            fail(f"fd limit: daemon busy {busy:.2f} s of 1 s at the limit")
+        for s in held[:3 * FD_LIMIT // 2]:
+            s.close()
+        c = Client(port, timeout=5.0)
+        try:
+            expect_type(c.rpc({"type": "health"}), "ok",
+                        "health after the fd limit")
+        finally:
+            c.close()
+        print(f"fd limit: {len(held)} connections held at RLIMIT_NOFILE "
+              f"{FD_LIMIT}, {busy:.2f} s daemon CPU in 1 s")
+    except (OSError, ValueError, KeyError) as e:
+        fail(f"fd limit: {e!r}")
+    finally:
+        for s in held:
+            s.close()
+        proc.send_signal(signal.SIGTERM)
+        try:
+            if proc.wait(timeout=10.0) != 0:
+                fail(f"fd limit: drain exit code {proc.returncode}")
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            fail("fd limit: daemon did not drain")
 
 
 def main():
@@ -225,7 +309,7 @@ def main():
     args = ap.parse_args()
 
     proc = subprocess.Popen(
-        [args.binary, "--tcp", "0", "--workers", "4", "--queue", "8",
+        [args.binary, "--tcp", "0", "--workers", str(WORKERS), "--queue", "8",
          "--test-models", "--no-tables", "--max-request-bytes", "65536",
          "--drain-ms", str(args.drain_ms)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
@@ -287,6 +371,8 @@ def main():
             fail(f"overload burst: {outcomes['none']} connections got no "
                  "document")
 
+        check_idle_sockets(port)
+
         # Health must be coherent after the storm.
         c = Client(port)
         health = c.rpc({"type": "health"})
@@ -320,6 +406,8 @@ def main():
     finally:
         if proc.poll() is None:
             proc.kill()
+
+    check_fd_limit(args.binary)
 
     if failures:
         sys.exit(f"{len(failures)} smoke assertion(s) failed")

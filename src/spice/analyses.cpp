@@ -671,7 +671,7 @@ phys::DataTable dc_sweep(Circuit& ckt, VSource& swept,
 
 namespace {
 
-/// Row recorder shared by the fixed and adaptive transient paths: either
+/// Row recorder of the transient step loop: either
 /// one row per accepted step (dt_print = 0), or rows thinned onto a
 /// uniform dt_print grid interpolated between accepted steps — adaptive
 /// runs then don't explode the DataTable, and runs with different stepping
@@ -836,7 +836,7 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
   TransientRecorder rec(table, probe_ids, branch_rows, opts.dt_print);
   rec.initial(x);
 
-  // Stamp-context prototype shared by every step of either path.
+  // Stamp-context prototype shared by every step.
   StampContext proto_base;
   proto_base.transient = true;
   proto_base.bypass_vtol = opts.bypass_vtol;
@@ -847,71 +847,16 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
   // branch-only when no tracer is attached.
   obs::Tracer* const tr = obs::tracer();
 
-  if (!opts.adaptive) {
-    // ---- fixed-step path: the classic dt grid with halving-on-failure,
-    // kept as the bit-stable reference the adaptive engine is verified
-    // against.
-    bool first_step = true;  // BE start-up step stabilizes trap ringing
-    while (t < opts.t_stop - 1e-21) {
-      if (opts.solver.cancel) opts.solver.cancel->throw_if_stopped("transient");
-      obs::ScopedSpan step_span("tran-step");
-      double dt = std::min(opts.dt, opts.t_stop - t);
-      int halvings = 0;
-      for (;;) {
-        StampContext proto = proto_base;
-        proto.dt_s = dt;
-        proto.trapezoidal = opts.trapezoidal && !first_step;
-        proto.time_s = t + dt;
-
-        x_try = x;
-        int iters = 0;
-        const bool converged =
-            newton_solve(ckt, x_try, opts.solver, opts.solver.gmin_final,
-                         1.0, proto, ws, &iters);
-        st.newton_iterations += iters;
-        if (!converged) {
-          if (tr) tr->instant("newton-reject", obs::now_ns());
-          ++st.steps_rejected_newton;
-          ++halvings;
-          if (halvings <= opts.max_step_halvings) {
-            dt *= 0.5;
-            continue;
-          }
-          // Halving exhausted: re-enter the full convergence ladder for
-          // this step from the last accepted state (gmin ramp, source
-          // stepping, pseudo-transient).  Throws SolveFailureError with
-          // the per-node diagnosis when even that fails.
-          if (tr) tr->instant("recovery", obs::now_ns());
-          ConvergenceOrchestrator orch(ckt, opts.solver, ws);
-          x_try = x;
-          const NewtonStats rs = orch.solve(x_try, proto);
-          st.newton_iterations += rs.iterations;
-          ++st.orchestrator_recoveries;
-        }
-        // Accept: update element state with the converged voltages.
-        StampContext accept_ctx = proto;
-        accept_ctx.x = &x_try;
-        for (const auto& el : ckt.elements()) el->accept_step(accept_ctx);
-        rec.accepted(t, x, t + dt, x_try);
-        std::swap(x, x_try);
-        t += dt;
-        first_step = false;
-        note_accepted_step(st, dt);
-        break;
-      }
-    }
-    rec.finish(t, x);
-    st.jacobian_reuses = ws.mna.factor_skip_count() - skips0;
-    return table;
-  }
-
-  // ---- adaptive path: LTE-controlled variable steps on a trapezoidal
-  // corrector (BE at start-up and after breakpoints), with the polynomial
-  // predictor doubling as the Newton warm start.
+  // One step loop for both grids.  The adaptive grid takes LTE-controlled
+  // variable steps on a trapezoidal corrector (BE at start-up, after
+  // breakpoints and after ladder recoveries), with the polynomial predictor
+  // doubling as the Newton warm start.  The fixed grid (adaptive = false)
+  // keeps the LTE controller out of the step choice; the five lines marked
+  // "Fixed grid" are all it does differently.
+  const bool fixed = !opts.adaptive;
   LteControlConfig cfg;
   cfg.reltol = opts.lte_reltol;
   cfg.abstol = opts.lte_abstol;
-  cfg.trtol = opts.trtol;
   cfg.dt_max = opts.dt_max > 0.0 ? opts.dt_max : opts.t_stop / 50.0;
   cfg.dt_min = opts.dt_min > 0.0
                    ? opts.dt_min
@@ -921,11 +866,14 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
   LteController ctl(cfg);
   PredictorHistory hist;
 
-  const std::vector<double> bps = ckt.collect_breakpoints(opts.t_stop);
+  // Fixed grid: no source corners to land on.
+  const std::vector<double> bps =
+      fixed ? std::vector<double>{} : ckt.collect_breakpoints(opts.t_stop);
   size_t bp_idx = 0;
 
   const double t_eps = 1e-12 * opts.t_stop;
-  double dt = std::clamp(opts.dt, cfg.dt_min, cfg.dt_max);
+  // Fixed grid: the first step is dt, unclamped by dt_min/dt_max.
+  double dt = fixed ? opts.dt : std::clamp(opts.dt, cfg.dt_min, cfg.dt_max);
   int consecutive_failures = 0;
 
   while (t < opts.t_stop - t_eps) {
@@ -949,7 +897,8 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
     proto.trapezoidal = use_trap;
     proto.time_s = t + h;
 
-    const int pred_order = hist.predict(x, h, x_pred);
+    // Fixed grid: Newton starts from the last solution, with no predictor.
+    const int pred_order = fixed ? 0 : hist.predict(x, h, x_pred);
     x_try = pred_order > 0 ? x_pred : x;
 
     int iters = 0;
@@ -962,17 +911,18 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
       if (tr) tr->instant("newton-reject", obs::now_ns());
       ++st.steps_rejected_newton;
       ++consecutive_failures;
+      // Fixed grid: halve the step, with no dt_min floor.
       if (consecutive_failures <= opts.max_step_halvings &&
-          h > cfg.dt_min * (1.0 + 1e-12)) {
-        dt = std::max(0.25 * h, cfg.dt_min);
+          (fixed || h > cfg.dt_min * (1.0 + 1e-12))) {
+        dt = fixed ? 0.5 * h : std::max(0.25 * h, cfg.dt_min);
         ctl.reset_history();  // the stored PI error belongs to the failed
                               // step
         continue;
       }
-      // Step-size control exhausted at the dt_min floor: re-enter the
-      // full convergence ladder for this step from the last accepted
-      // state.  Throws SolveFailureError with the per-node diagnosis
-      // when even that fails.
+      // Step-size control exhausted (at the dt_min floor, or out of
+      // halvings): re-enter the full convergence ladder for this step from
+      // the last accepted state.  Throws SolveFailureError with the
+      // per-node diagnosis when even that fails.
       if (tr) tr->instant("recovery", obs::now_ns());
       ConvergenceOrchestrator orch(ckt, opts.solver, ws);
       x_try = x;
@@ -1039,6 +989,8 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
       rec.discontinuity();
       dt = std::clamp(0.1 * opts.dt, cfg.dt_min, cfg.dt_max);
     }
+    // Fixed grid: every step after an accepted one is dt again.
+    if (fixed) dt = opts.dt;
   }
   rec.finish(opts.t_stop, x);
   st.jacobian_reuses = ws.mna.factor_skip_count() - skips0;

@@ -3,8 +3,9 @@
 /// @file analyses.h
 /// Circuit analyses: Newton–Raphson operating point behind a convergence
 /// escalation ladder (plain NR → adaptive gmin ramp → source stepping →
-/// pseudo-transient continuation), DC sweeps, and fixed/adaptive-step
-/// transient simulation with backward-Euler and trapezoidal integration.
+/// pseudo-transient continuation), DC sweeps, and transient simulation with
+/// backward-Euler and trapezoidal integration: one step loop, on an
+/// LTE-controlled adaptive grid or a fixed dt grid.
 /// Failures surface as a structured SolveFailure (stage reached, worst
 /// nodes by name, oscillation/singularity culprits), never as silent NaNs
 /// or a bare boolean.
@@ -395,26 +396,33 @@ enum class TransientIc {
   kFromOperatingPoint,
 };
 
-/// Transient options.  Two stepping modes share one surface:
-///  * fixed (adaptive = false): march the dt grid exactly as the classic
-///    engine did, halving only on Newton failure — the bit-stable
-///    reference path;
+/// Transient options.  One step loop runs two step-size policies:
 ///  * adaptive (adaptive = true): local-truncation-error controlled
 ///    variable steps.  dt becomes the *initial* step; each accepted step
 ///    estimates the corrector LTE from its divergence from a polynomial
 ///    predictor, grows/shrinks the step against lte_reltol/lte_abstol,
 ///    rejects oversized steps, and lands exactly on source-waveform
-///    breakpoints (restarting the integrator there with a BE step).
+///    breakpoints (restarting the integrator there with a BE step);
+///  * fixed (adaptive = false): the dt grid, the bit-stable reference the
+///    adaptive policy is verified against.  The LTE controller stays out of
+///    the step choice: every step starts at exactly dt (dt_min and dt_max
+///    do not apply), Newton warm-starts from the last solution without a
+///    predictor, no source corner is landed on, and a Newton failure halves
+///    the step.
+/// Both policies end with a step landing exactly on t_stop and restart the
+/// integrator with a BE step after a ladder recovery.
 struct TransientOptions {
   double t_stop = 1e-9;
   double dt = 1e-12;         ///< fixed: the grid; adaptive: initial step
   bool trapezoidal = true;   ///< trapezoidal after a BE start-up step
+  /// Newton failures one step may retry at a smaller step before the
+  /// escalation ladder takes it over: the fixed grid halves the step each
+  /// time (no dt_min floor), the adaptive grid quarters it down to dt_min.
   int max_step_halvings = 12;
 
   bool adaptive = false;
-  double lte_reltol = 1e-3;  ///< relative LTE tolerance per node
-  double lte_abstol = 1e-6;  ///< absolute LTE tolerance [V]
-  double trtol = 7.0;        ///< LTE overestimation factor (SPICE trtol)
+  double lte_reltol = 1e-3;  ///< relative LTE tolerance per node (> 0)
+  double lte_abstol = 1e-6;  ///< absolute LTE tolerance [V] (> 0)
   /// PI (Gustafsson) step control instead of the deadbeat growth rule:
   /// damps step growth while the LTE is rising, cutting the rejection
   /// thrash on fast waveforms (see LteControlConfig::pi).  Off by default

@@ -647,11 +647,14 @@ StepSpec parse_step_card(const RawCard& card) {
   if (incr == 0.0 || (stop - start) * incr < 0.0) {
     fail(card.line_no, card.text, ".step increment does not reach stop");
   }
-  const int n = static_cast<int>(
-                    std::floor((stop - start) / incr + 1e-9)) + 1;
-  if (n > 10000) fail(card.line_no, card.text, ".step grid over 10000 points");
+  // Counted as a double: a count past int range, or NaN from a bound that
+  // overflowed, must fail here rather than in the cast.
+  const double n = std::floor((stop - start) / incr + 1e-9) + 1.0;
+  if (!(n <= kMaxSweepPoints)) {
+    fail(card.line_no, card.text, ".step grid over 10000 points");
+  }
   char buf[40];
-  for (int k = 0; k < n; ++k) {
+  for (int k = 0; k < static_cast<int>(n); ++k) {
     std::snprintf(buf, sizeof buf, "%.17g", start + k * incr);
     step.values.push_back(buf);
   }
@@ -1292,6 +1295,12 @@ Deck parse_deck(const std::string& text, const ModelRegistry& /*models*/) {
     }
     if (head == ".step") {
       deck.steps.push_back(parse_step_card(card));
+      // The cards span a cartesian grid, expanded in full before a solve.
+      double points = 1.0;
+      for (const StepSpec& s : deck.steps) points *= s.values.size();
+      if (points > kMaxSweepPoints) {
+        fail(card.line_no, card.text, ".step grid over 10000 points");
+      }
       continue;
     }
     if (head == ".model") {

@@ -176,6 +176,10 @@ struct MeasureCard {
   std::string line;
 };
 
+/// Most points a `.step` grid or a `.dc` sweep may hold: both are built in
+/// full before the first solve.
+inline constexpr int kMaxSweepPoints = 10000;
+
 /// One `.step param <name> <start> <stop> <incr>` or
 /// `.step param <name> list <v1> <v2> ...` card.  Multiple .step cards
 /// form a cartesian grid; the first card varies slowest.

@@ -15,6 +15,11 @@ namespace carbon::spice {
 
 namespace {
 
+/// Most rows a thinned `.tran` table may hold (t_stop / print interval):
+/// the recorder writes every row of an accepted step before the next
+/// cancel poll.
+constexpr double kMaxTranRows = 1e6;
+
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return std::tolower(c); });
@@ -178,8 +183,11 @@ class StepRunner {
         session_opts_(session_opts) {}
 
   core::Json run() {
-    // A sweep grid that cannot be marched fails the deck before any solve.
+    // A sweep grid or time span that cannot be marched fails the deck
+    // before any solve.
     for (const AnalysisCard& card : deck_.analyses) {
+      if (card.kind == AnalysisCard::Kind::kDc) read_dc_values(card);
+      if (card.kind == AnalysisCard::Kind::kTran) read_tran_options(card);
       if (card.kind == AnalysisCard::Kind::kAc ||
           card.kind == AnalysisCard::Kind::kNoise) {
         AcOptions grid;
@@ -261,6 +269,94 @@ class StepRunner {
           card.line_no, card.line);
     }
     opt.points_per_decade = static_cast<int>(npd);
+  }
+
+  /// The swept values of a .dc card: finite bounds, a step that reaches
+  /// stop, and at most kMaxSweepPoints points.
+  std::vector<double> read_dc_values(const AnalysisCard& card) const {
+    const double start = eval_in_env(card.start_expr, card.line_no, card.line);
+    const double stop = eval_in_env(card.stop_expr, card.line_no, card.line);
+    const double step = eval_in_env(card.step_expr, card.line_no, card.line);
+    if (!(std::isfinite(start) && std::isfinite(stop) && step != 0.0 &&
+          (stop - start) * step >= 0.0)) {
+      throw ParseError(".dc wants finite start and stop and a step that "
+                       "reaches stop", card.line_no, card.line);
+    }
+    // Counted as a double: a count past int range fails here, not in the
+    // cast.
+    const double n = std::floor((stop - start) / step + 1e-9);
+    if (!(n < kMaxSweepPoints)) {
+      throw ParseError(".dc sweep over 10000 points", card.line_no,
+                       card.line);
+    }
+    std::vector<double> values;
+    for (int i = 0; i <= static_cast<int>(n); ++i) {
+      values.push_back(start + i * step);
+    }
+    return values;
+  }
+
+  /// The TransientOptions of a .tran card: finite values, a positive
+  /// tstep and tstop, positive LTE tolerances and at most kMaxTranRows
+  /// printed rows.
+  TransientOptions read_tran_options(const AnalysisCard& card) const {
+    const auto value = [&](const std::string& expr) {
+      const double x = eval_in_env(expr, card.line_no, card.line);
+      if (!std::isfinite(x)) {
+        throw ParseError(".tran values must be finite", card.line_no,
+                         card.line);
+      }
+      return x;
+    };
+    TransientOptions topt;
+    topt.dt = value(card.dt_expr);
+    topt.t_stop = value(card.tstop_expr);
+    if (topt.dt <= 0.0 || topt.t_stop <= 0.0) {
+      throw ParseError(".tran wants a positive tstep and tstop", card.line_no,
+                       card.line);
+    }
+    topt.adaptive = true;
+    topt.dt_print = topt.dt;  // tstep is the print/report interval
+    topt.ic = TransientIc::kFromOperatingPoint;
+    topt.solver = cfg_.solver;
+    topt.workspace = &ws_;
+    for (const auto& [k, v] : card.options) {
+      if (k == "fixed") {
+        topt.adaptive = value(v) == 0.0;
+      } else if (k == "ic") {
+        const std::string mode = lower(v);
+        if (mode == "init") topt.ic = TransientIc::kFromInit;
+        else if (mode == "op") topt.ic = TransientIc::kFromOperatingPoint;
+        else throw ParseError(".tran ic must be init|op", card.line_no,
+                              card.line);
+      } else if (k == "dtmin") {
+        topt.dt_min = value(v);
+      } else if (k == "dtmax") {
+        topt.dt_max = value(v);
+      } else if (k == "lte_reltol") {
+        topt.lte_reltol = value(v);
+      } else if (k == "lte_abstol") {
+        topt.lte_abstol = value(v);
+      } else if (k == "print") {
+        topt.dt_print = value(v);
+      } else if (k == "bypass") {
+        topt.bypass_vtol = value(v);
+      } else if (k == "trap") {
+        topt.trapezoidal = value(v) != 0.0;
+      } else {
+        throw ParseError("unknown .tran option '" + k + "'", card.line_no,
+                         card.line);
+      }
+    }
+    if (topt.lte_reltol <= 0.0 || topt.lte_abstol <= 0.0) {
+      throw ParseError(".tran lte_reltol and lte_abstol must be positive",
+                       card.line_no, card.line);
+    }
+    if (topt.dt_print > 0.0 && topt.t_stop / topt.dt_print > kMaxTranRows) {
+      throw ParseError(".tran print interval gives over 1e6 rows",
+                       card.line_no, card.line);
+    }
+    return topt;
   }
 
   /// Global parameter env of this step (globals + overrides), evaluated
@@ -428,18 +524,9 @@ class StepRunner {
 
   void run_dc(const AnalysisCard& card, core::Json& out) {
     VSource* swept = find_vsource(card.source, card.line_no, card.line);
-    const double start = eval_in_env(card.start_expr, card.line_no, card.line);
-    const double stop = eval_in_env(card.stop_expr, card.line_no, card.line);
-    const double step = eval_in_env(card.step_expr, card.line_no, card.line);
-    if (step == 0.0 || (stop - start) * step < 0.0) {
-      throw ParseError(".dc step does not reach stop", card.line_no,
-                       card.line);
-    }
-    std::vector<double> values;
-    const int n = static_cast<int>(std::floor((stop - start) / step + 1e-9));
-    for (int i = 0; i <= n; ++i) values.push_back(start + i * step);
-    phys::DataTable table = dc_sweep(ckt_, *swept, values,
-                                     voltage_probes("dc"), cfg_.solver, &ws_);
+    phys::DataTable table =
+        dc_sweep(ckt_, *swept, read_dc_values(card), voltage_probes("dc"),
+                 cfg_.solver, &ws_);
     out.set("source", card.source);
     if (emit_tables()) {
       out.set("table", table_json(table, session_opts_.max_table_rows));
@@ -448,47 +535,10 @@ class StepRunner {
   }
 
   void run_tran(const AnalysisCard& card, core::Json& out) {
-    TransientOptions topt;
-    topt.dt = eval_in_env(card.dt_expr, card.line_no, card.line);
-    topt.t_stop = eval_in_env(card.tstop_expr, card.line_no, card.line);
-    topt.adaptive = true;
-    topt.dt_print = topt.dt;  // tstep is the print/report interval
-    topt.ic = TransientIc::kFromOperatingPoint;
-    topt.solver = cfg_.solver;
-    topt.workspace = &ws_;
-    for (const auto& [k, v] : card.options) {
-      if (k == "fixed") {
-        topt.adaptive = eval_in_env(v, card.line_no, card.line) == 0.0;
-      } else if (k == "ic") {
-        const std::string mode = lower(v);
-        if (mode == "init") topt.ic = TransientIc::kFromInit;
-        else if (mode == "op") topt.ic = TransientIc::kFromOperatingPoint;
-        else throw ParseError(".tran ic must be init|op", card.line_no,
-                              card.line);
-      } else if (k == "dtmin") {
-        topt.dt_min = eval_in_env(v, card.line_no, card.line);
-      } else if (k == "dtmax") {
-        topt.dt_max = eval_in_env(v, card.line_no, card.line);
-      } else if (k == "lte_reltol") {
-        topt.lte_reltol = eval_in_env(v, card.line_no, card.line);
-      } else if (k == "lte_abstol") {
-        topt.lte_abstol = eval_in_env(v, card.line_no, card.line);
-      } else if (k == "print") {
-        topt.dt_print = eval_in_env(v, card.line_no, card.line);
-      } else if (k == "bypass") {
-        topt.bypass_vtol = eval_in_env(v, card.line_no, card.line);
-      } else if (k == "trap") {
-        topt.trapezoidal = eval_in_env(v, card.line_no, card.line) != 0.0;
-      } else {
-        throw ParseError("unknown .tran option '" + k + "'", card.line_no,
-                         card.line);
-      }
-    }
+    const TransientOptions topt = read_tran_options(card);
     std::vector<const VSource*> current_probes;
-    std::vector<std::string> current_names;
     for (const std::string& name : current_probe_names("tran")) {
       current_probes.push_back(find_vsource(name, card.line_no, card.line));
-      current_names.push_back(name);
     }
     phys::DataTable table =
         transient(ckt_, topt, voltage_probes("tran"), current_probes);

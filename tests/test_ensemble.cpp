@@ -311,7 +311,9 @@ TEST(Ensemble, BatchDeadlineExpiresMidEnsemble) {
   // The batch did not run anywhere near the serial stall time (~16 s).
   EXPECT_LT(res.summary.wall_s, 5.0);
   for (const auto& r : res.trials) {
-    if (!r.ok) EXPECT_EQ(r.outcome, sp::TrialOutcome::kTimedOut);
+    if (!r.ok) {
+      EXPECT_EQ(r.outcome, sp::TrialOutcome::kTimedOut);
+    }
   }
 }
 

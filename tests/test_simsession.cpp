@@ -142,6 +142,34 @@ TEST(SimSession, MalformedDeckYieldsStructuredError) {
        ".ac dec 10 0 1meg", "fstart < fstop"},
       {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.noise v(b) v1 dec 0 1 1meg\n", 4,
        ".noise v(b) v1 dec 0 1 1meg", "points per decade"},
+      // .step and .dc grids whose point count overflows an int, and a
+      // .step grid over the cap only as a cartesian product.
+      {"v1 a 0 1\nr1 a 0 {r}\n.param r=1\n.step param r 1 1e12 1\n.op\n",
+       4, ".step param r 1 1e12 1", "over 10000 points"},
+      {"v1 a 0 1\nr1 a 0 {r}\n.param r=1 s=1\n.step param r 1 200 1\n"
+       ".step param s 1 200 1\n.op\n",
+       5, ".step param s 1 200 1", "over 10000 points"},
+      {"v1 a 0 1\nr1 a 0 1k\n.dc v1 0 1e9 1e-3\n", 3, ".dc v1 0 1e9 1e-3",
+       "over 10000 points"},
+      {"v1 a 0 1\nr1 a 0 1k\n.dc v1 0 {1/0} 1\n", 3, ".dc v1 0 {1/0} 1",
+       "finite start and stop"},
+      // .tran spans and tolerances no step loop can march.
+      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 0 1n\n", 4, ".tran 0 1n",
+       "positive tstep"},
+      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran -1p 1n\n", 4, ".tran -1p 1n",
+       "positive tstep"},
+      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1p {1/0}\n", 4,
+       ".tran 1p {1/0}", "must be finite"},
+      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1p 1n fixed={0/0}\n", 4,
+       ".tran 1p 1n fixed={0/0}", "must be finite"},
+      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1p 1n fixed=1 lte_reltol=0\n",
+       4, ".tran 1p 1n fixed=1 lte_reltol=0", "must be positive"},
+      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1p 1n lte_abstol=-1\n", 4,
+       ".tran 1p 1n lte_abstol=-1", "must be positive"},
+      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1e-30 1n\n", 4,
+       ".tran 1e-30 1n", "over 1e6 rows"},
+      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.op\n.tran 1p 1n print=1e-30\n", 5,
+       ".tran 1p 1n print=1e-30", "over 1e6 rows"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.deck);
@@ -296,6 +324,26 @@ TEST(SimSession, TransientCountersDescribeOneRun) {
   EXPECT_GT(reuses[0], 0);
   EXPECT_EQ(reuses[1], reuses[0]);
   EXPECT_EQ(reuses[2], reuses[0]);
+}
+
+TEST(SimSession, CoarseFixedGridKeepsItsStep) {
+  // A fixed grid coarser than the auto dt_max (t_stop / 50) keeps its
+  // step, and it lands on no source corner: ten 1 ns steps, although the
+  // pulse has corners at 0.5 ns and 1.5 ns.
+  sp::SimSession session;
+  const Json doc = session.run_deck_text(
+      "vin in 0 pulse(0 1 0.5n 1n 1n 50n 100n)\nr1 in out 1k\nc1 out 0 1p\n"
+      ".tran 1n 10n fixed=1\n.end\n");
+  ASSERT_TRUE(doc["ok"].as_bool()) << doc.dump(1);
+  const Json& tran = doc["steps"].at(0)["analyses"].at(0);
+  const Json& stats = tran["stats"];
+  EXPECT_EQ(stats["steps_accepted"].as_int(), 10);
+  EXPECT_EQ(stats["breakpoints_hit"].as_int(), 0);
+  // The last step lands exactly on t_stop, so it may differ from 1 ns in
+  // the last digits.
+  EXPECT_NEAR(stats["dt_smallest"].as_double(), 1e-9, 1e-21);
+  EXPECT_NEAR(stats["dt_largest"].as_double(), 1e-9, 1e-21);
+  EXPECT_EQ(tran["table"]["num_rows"].as_int(), 11);
 }
 
 TEST(SimSession, ExpiredDeadlineRendersTimeoutDocument) {

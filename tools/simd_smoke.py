@@ -3,9 +3,10 @@
 
 Boots the daemon on an ephemeral TCP port with the fault-injection models
 registered, then hammers it from concurrent client threads with the full
-fault mix — good decks, parse errors, NaN solve failures, injected hangs
-under tight deadlines, oversized requests and mid-request disconnects —
-and asserts the robustness contract:
+fault mix — good decks, parse errors (overflowing .step/.dc grids among
+them), NaN solve failures, injected hangs under tight deadlines,
+oversized requests and mid-request disconnects — and asserts the
+robustness contract:
 
   * every request on a surviving connection yields exactly one JSON
     document (ok, or a structured error of the expected type);
@@ -46,6 +47,11 @@ GOOD_DECK = (
     ".op\n.probe none\n.measure op vout value v(out)\n.end\n"
 )
 PARSE_DECK = "r1 in out\n.op\n.end\n"
+# Grids whose point count overflows an int (the .step one crashed the
+# daemon until the count was checked before the cast).
+STEP_DECK = "v1 a 0 1\nr1 a 0 {r}\n.param r=1\n.step param r 1 1e12 1\n.op\n"
+DC_DECK = "v1 a 0 1\nr1 a 0 1k\n.dc v1 0 1e9 1e-3\n"
+PARSE_DECKS = [PARSE_DECK, STEP_DECK, DC_DECK]
 NAN_DECK = "v1 d 0 1\nv2 g 0 1\nm1 d g 0 nanfet\n.op\n.end\n"
 # A transient on a stalling FET: every accepted step burns a stalled
 # eval, so the run cannot finish inside the deadline below.
@@ -140,7 +146,8 @@ def client_mix(port, seed, rounds):
                     if doc.get("id") != i:
                         fail("good deck: response id not echoed")
             elif kind == 1:
-                expect_type(c.rpc({"type": "run", "deck": PARSE_DECK}),
+                deck = PARSE_DECKS[(seed + i) % len(PARSE_DECKS)]
+                expect_type(c.rpc({"type": "run", "deck": deck}),
                             "parse", "parse-error deck")
             elif kind == 2:
                 expect_type(c.rpc({"type": "run", "deck": NAN_DECK}),
@@ -332,6 +339,15 @@ def main():
         expect_type(c.recv_doc(), "bad_request", "malformed request")
         expect_type(c.rpc({"type": "run", "deck": GOOD_DECK}), "ok",
                     "request after bad_request")
+        c.close()
+
+        # Overflowing .step and .dc grids: parse documents, and the daemon
+        # still answers on the same connection.
+        c = Client(port)
+        for deck, what in ((STEP_DECK, ".step grid"), (DC_DECK, ".dc grid")):
+            expect_type(c.rpc({"type": "run", "deck": deck}), "parse", what)
+            expect_type(c.rpc({"type": "health"}), "ok",
+                        "health after " + what)
         c.close()
 
         # The concurrent fault mix.

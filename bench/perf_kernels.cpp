@@ -15,16 +15,13 @@
 #include "spice/smallsignal.h"
 #include "device/alpha_power.h"
 #include "device/cntfet.h"
-#include "device/faulty.h"
 #include "device/mosfet.h"
 #include "device/tabulated.h"
 #include "device/tfet.h"
-#include "fab/devstats.h"
 #include "fab/placement.h"
 #include "logic/subneg.h"
 #include "phys/parallel.h"
 #include "spice/analyses.h"
-#include "spice/ensemble.h"
 #include "spice/measure.h"
 
 namespace {
@@ -470,105 +467,6 @@ void BM_TransientSramColumnAdaptive(benchmark::State& state) {
 BENCHMARK(BM_TransientSramColumnAdaptive)
     ->Arg(8)->Arg(64)
     ->Unit(benchmark::kMillisecond)->Complexity(benchmark::oN);
-
-// ---- fault-tolerant ensemble engine: SRAM write yield under variation ----
-//
-// The production Monte-Carlo workload: N write trials of the 6T cell, each
-// with its transistors re-targeted to a fab-perturbed alpha-power model
-// (fab::perturb_alpha_power from the trial's own RNG stream), sharded over
-// the pool with one bench + Newton workspace per worker.  5% of trials
-// carry an injected mid-transient NaN fault; the batch must absorb them as
-// structured failure records at full throughput.  Counters record yield,
-// the failure/retry accounting, trials/s and the thread-scaling efficiency
-// against a measured serial reference (run_bench.sh publishes them).
-
-void BM_EnsembleSramYield(benchmark::State& state) {
-  const long trials = state.range(0);
-  static const device::AlphaPowerParams nominal =
-      device::make_fig2_saturating_params();
-
-  spice::EnsembleOptions eo;
-  eo.seed = 2014;
-  eo.max_retries = 1;
-
-  const auto factory = [](int) -> spice::EnsembleRunner::TrialFn {
-    struct Worker {
-      circuit::SramWriteBench bench;
-      spice::NewtonWorkspace ws;
-      std::vector<spice::Fet*> nfets, pfets;
-    };
-    auto w = std::make_shared<Worker>();
-    w->bench = circuit::make_sram_write_bench(
-        std::make_shared<device::AlphaPowerModel>(nominal));
-    for (const auto& el : w->bench.ckt->elements()) {
-      if (auto* f = dynamic_cast<spice::Fet*>(el.get())) {
-        (f->model().polarity() == device::Polarity::kPType ? w->pfets
-                                                           : w->nfets)
-            .push_back(f);
-      }
-    }
-    return [w](spice::TrialContext& tctx) -> spice::TrialMeasurement {
-      fab::DeviceVariation var;
-      const auto p = fab::perturb_alpha_power(nominal, var, tctx.rng);
-      device::DeviceModelPtr nm = std::make_shared<device::AlphaPowerModel>(p);
-      if (tctx.index % 20 == 7) {  // 5% fault-injected trials
-        device::FaultSpec s;
-        s.kind = device::FaultKind::kNanEval;
-        s.trigger_evals = 400;  // arms mid-transient, past the t=0 OP
-        nm = device::with_fault(nm, s);
-      }
-      for (auto* f : w->nfets) f->set_model(nm);
-      const auto pm = std::make_shared<device::PTypeMirror>(nm);
-      for (auto* f : w->pfets) f->set_model(pm);
-      w->bench.ckt->reset_state();
-
-      spice::TransientOptions base;
-      base.t_stop = 4e-9;
-      base.dt = 1e-12;
-      base.adaptive = true;
-      base.lte_reltol = 1e-3;
-      base.dt_print = 20e-12;
-      base.ic = spice::TransientIc::kFromOperatingPoint;
-      base.workspace = &w->ws;
-      spice::TransientOptions opt = tctx.tuned(base);
-      spice::TrialMeasurement m;
-      opt.solver.record = &m.stats;
-      const auto tr = spice::transient(*w->bench.ckt, opt, {"q", "qb"});
-      const double q_end = tr.at(tr.num_rows() - 1, 1);
-      m.metric = q_end;
-      m.pass = q_end < 0.1 && tr.at(tr.num_rows() - 1, 2) > 0.5;
-      return m;
-    };
-  };
-
-  // One-time serial reference (8 trials on 1 thread) for the
-  // thread-scaling efficiency counter.
-  static const double serial_s_per_trial = [&] {
-    spice::EnsembleOptions serial = eo;
-    serial.num_threads = 1;
-    const auto r = spice::EnsembleRunner(serial).run(8, factory);
-    return r.summary.wall_s / 8.0;
-  }();
-
-  spice::EnsembleSummary last;
-  for (auto _ : state) {
-    const auto res = spice::EnsembleRunner(eo).run(trials, factory);
-    last = res.summary;
-    benchmark::DoNotOptimize(&last);
-  }
-  state.counters["trials_per_s"] = trials / last.wall_s;
-  state.counters["yield"] = last.yield;
-  state.counters["failed"] = static_cast<double>(last.failed);
-  state.counters["retried"] = static_cast<double>(last.retried_trials);
-  state.counters["recovered"] = static_cast<double>(last.recovered_by_retry);
-  state.counters["threads"] = static_cast<double>(last.threads);
-  state.counters["thread_efficiency"] =
-      (serial_s_per_trial * static_cast<double>(trials)) /
-      (last.threads * last.wall_s);
-}
-BENCHMARK(BM_EnsembleSramYield)
-    ->Arg(64)->Arg(256)->Arg(1000)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PlacementMonteCarlo(benchmark::State& state) {
   const fab::ChiralityPopulation pop(1.4e-9, 0.2e-9);

@@ -2,8 +2,8 @@
 # Run the perf-kernel microbenchmarks and record the results (plus the
 # headline speedups: tabulated-vs-direct VTC sweep, parallel Monte Carlo,
 # the O(N) per-unknown cost ratios of the Newton-solve, AC-sweep and
-# large-array transient scaling families, and the fault-injected ensemble
-# yield sweep) in BENCH_perf.json at the repo root.
+# large-array transient scaling families, and the fixed-vs-adaptive
+# transient pairs) in BENCH_perf.json at the repo root.
 # Usage:
 #
 #   bench/run_bench.sh [build_dir] [extra google-benchmark args...]
@@ -12,8 +12,8 @@
 # (--benchmark_repetitions=N).  Summary figures are medians over the
 # repetitions; summary.spread records each benchmark's median and
 # coefficient of variation, next to nproc and the CPU model.  A run whose
-# thread pool had one thread publishes no parallel-scaling figures
-# (placement_mc_speedup, ensemble thread efficiency).
+# thread pool had one thread publishes no parallel-scaling figure
+# (placement_mc_speedup).
 #
 # The build dir defaults to ./build.  The script configures and builds it
 # with -DCMAKE_BUILD_TYPE=Release -DCARBON_BUILD_BENCH=ON itself, and the
@@ -202,30 +202,6 @@ for pair, key in (("RingOsc", "transient_ring"),
         summary[f"{key}_fixed_period_relerr"] = counter(fx, "period_relerr")
         summary[f"{key}_adaptive_period_relerr"] = counter(ad, "period_relerr")
 
-# Fault-tolerant ensemble engine: the SRAM write yield sweep with ~5%
-# fault-injected trials.  Per-size trial throughput plus the yield and
-# failure/retry accounting and the thread-scaling efficiency against the
-# in-binary serial reference (1.0 = perfect scaling).
-# The thread efficiency is left out of a one-thread run.
-ens = {}
-for name in runs:
-    prefix = "BM_EnsembleSramYield/"
-    if name.startswith(prefix):
-        tail = name[len(prefix):].split("/")[0]  # strip /real_time
-        if tail.isdigit():
-            ens[int(tail)] = name
-ens_keys = ["trials_per_s", "yield", "failed", "retried", "recovered",
-            "threads"] + (["thread_efficiency"] if threads > 1 else [])
-if ens:
-    summary["ensemble_sram_yield"] = {
-        str(n): {k: counter(name, k) for k in ens_keys}
-        for n, name in sorted(ens.items())
-    }
-    big = summary["ensemble_sram_yield"][str(max(ens))]
-    summary["ensemble_trials_per_s"] = big["trials_per_s"]
-    if threads > 1:
-        summary["ensemble_thread_efficiency"] = big["thread_efficiency"]
-
 if bench_lib_override:
     summary["benchmark_library_debug_override"] = True
 
@@ -239,11 +215,7 @@ for k, v in summary.items():
     if isinstance(v, dict):
         print(f"{k}:")
         for kk, vv in v.items():
-            if isinstance(vv, dict):
-                inner = ", ".join(f"{a}={b:.4g}" for a, b in vv.items())
-                print(f"  {kk}: {inner}")
-            else:
-                print(f"  {kk}: {vv}")
+            print(f"  {kk}: {vv}")
     elif isinstance(v, float):
         print(f"{k}: {v:.4g}")
     else:

@@ -78,7 +78,7 @@ void Json::write(std::string& out, int indent, int depth) const {
         std::snprintf(buf, sizeof buf, "%.17g", double_);
         out += buf;
       } else {
-        // JSON has no NaN/Inf literal; a failed-trial metric serializes as
+        // JSON has no NaN/Inf literal; a non-finite value serializes as
         // null rather than producing an unparseable document.
         out += "null";
       }

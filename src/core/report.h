@@ -4,7 +4,7 @@
 /// Output helpers shared by the bench binaries: consistent stdout banners,
 /// table printing, CSV artifact writing, paper-vs-measured comparison rows
 /// for EXPERIMENTS.md — and a minimal JSON value builder for the
-/// machine-readable reports (solver failure records, ensemble yield runs).
+/// machine-readable reports (deck documents, solver failure records).
 
 #include <cstdint>
 #include <iosfwd>

@@ -1,7 +1,6 @@
 #include "device/faulty.h"
 
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <thread>
 
@@ -15,8 +14,6 @@ const char* fault_tag(FaultKind kind) {
   switch (kind) {
     case FaultKind::kNone: return "none";
     case FaultKind::kNanEval: return "nan";
-    case FaultKind::kOpenCircuit: return "open";
-    case FaultKind::kNonMonotone: return "wiggle";
     case FaultKind::kStall: return "stall";
   }
   return "?";
@@ -49,21 +46,6 @@ DeviceEval FaultyModelDecorator::eval(double vgs, double vds) const {
       e.id = std::numeric_limits<double>::quiet_NaN();
       e.gm = std::numeric_limits<double>::quiet_NaN();
       e.gds = std::numeric_limits<double>::quiet_NaN();
-      return e;
-    }
-    case FaultKind::kOpenCircuit:
-      return DeviceEval{};  // all zero: the device vanishes
-    case FaultKind::kNonMonotone: {
-      // Additive wiggle with a derivative large enough to flip the sign of
-      // the local conductance: a plain damped Newton rattles between the
-      // folds, while a gmin-shunted or pseudo-transient system stays
-      // diagonally dominant and walks through.
-      DeviceEval e = base_->eval(vgs, vds);
-      const double w = spec_.wiggle_freq_per_v;
-      const double phase = w * (vgs + vds);
-      e.id += spec_.wiggle_amp_a * std::sin(phase);
-      e.gm += spec_.wiggle_amp_a * w * std::cos(phase);
-      e.gds += spec_.wiggle_amp_a * w * std::cos(phase);
       return e;
     }
     case FaultKind::kStall:

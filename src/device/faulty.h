@@ -2,15 +2,13 @@
 
 /// @file faulty.h
 /// Deterministic fault injection for robustness testing: a decorator that
-/// wraps any compact model and misbehaves on command — NaN evaluations,
-/// vanishing conductances (singular-row corners), non-monotone I-V that
-/// defeats plain Newton, and artificial stalls that simulate a hung model.
+/// wraps any compact model and misbehaves on command — NaN evaluations and
+/// artificial stalls that simulate a hung model.
 ///
-/// The ensemble tests and benchmarks use it to force every failure, retry
-/// and timeout path of spice::EnsembleRunner on purpose: trial N gets a
-/// faulty device, and the batch must still complete with a structured
-/// TrialResult for it instead of crashing, hanging, or poisoning its
-/// neighbours.
+/// `carbon_simd --test-models` registers faulty devices (`nanfet`,
+/// `hangfet`) so the service's solve-failure, deadline and disconnect
+/// paths can be driven from a deck; the session, server and convergence
+/// tests use it the same way.
 
 #include <atomic>
 #include <string>
@@ -23,13 +21,6 @@ namespace carbon::device {
 enum class FaultKind {
   kNone = 0,     ///< transparent pass-through
   kNanEval,      ///< NaN current/conductances (permanent once triggered)
-  kOpenCircuit,  ///< all-zero eval: the device vanishes — where it was a
-                 ///< node's only DC path, that row degenerates to the gmin
-                 ///< shunt and the Jacobian goes (near-)singular
-  kNonMonotone,  ///< adds a non-monotone wiggle to the I-V: plain damped
-                 ///< Newton limit-cycles, but the escalation ladder (gmin
-                 ///< ramp / pseudo-transient) can still crack it — the
-                 ///< "recoverable by retry" corner
   kStall,        ///< sleeps stall_s per eval(): a hung / pathologically
                  ///< slow model, used to exercise deadlines
 };
@@ -41,13 +32,11 @@ struct FaultSpec {
   /// first call).  Lets a transient run fail mid-flight rather than at the
   /// operating point.
   long trigger_evals = 0;
-  double wiggle_amp_a = 5e-5;      ///< kNonMonotone current amplitude [A]
-  double wiggle_freq_per_v = 60.0; ///< kNonMonotone frequency [rad/V]
-  double stall_s = 1e-3;           ///< kStall sleep per eval [s]
+  double stall_s = 1e-3;  ///< kStall sleep per eval [s]
 };
 
 /// The decorator.  Thread-safe: the eval counter is atomic, so one
-/// instance may be shared by the FETs of a trial circuit (they then share
+/// instance may be shared by the FETs of a circuit (they then share
 /// the trigger budget, which is usually what a fault scenario wants).
 class FaultyModelDecorator final : public IDeviceModel {
  public:
@@ -61,10 +50,6 @@ class FaultyModelDecorator final : public IDeviceModel {
     return base_->width_normalization();
   }
   NoiseParams noise_params() const override { return base_->noise_params(); }
-
-  /// eval() calls observed so far (diagnostics for tests).
-  long evals() const { return evals_.load(std::memory_order_relaxed); }
-  const FaultSpec& spec() const { return spec_; }
 
  private:
   bool armed_after_count() const;

@@ -1,6 +1,5 @@
 #include "fab/devstats.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "phys/parallel.h"
@@ -84,19 +83,6 @@ PopulationStats summarize(const std::vector<MeasuredDevice>& devices) {
   s.mean_tubes = tubes / s.devices;
   s.short_fraction = static_cast<double>(shorts) / s.devices;
   return s;
-}
-
-device::AlphaPowerParams perturb_alpha_power(
-    const device::AlphaPowerParams& nominal, const DeviceVariation& var,
-    phys::Rng& rng) {
-  device::AlphaPowerParams p = nominal;
-  // Fixed draw order — part of the determinism contract in the header.
-  p.v_t += rng.normal(0.0, var.sigma_vt_v);
-  p.k_sat *= std::exp(rng.normal(0.0, var.sigma_ln_drive));
-  p.i_off_floor *= std::exp(rng.normal(0.0, var.sigma_ln_leak));
-  p.ss_mv_dec = std::max(60.0, p.ss_mv_dec +
-                                   rng.normal(0.0, var.sigma_ss_mv_dec));
-  return p;
 }
 
 phys::DataTable on_off_histogram(const std::vector<MeasuredDevice>& devices,

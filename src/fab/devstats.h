@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "device/alpha_power.h"
 #include "fab/placement.h"
 #include "phys/stats.h"
 #include "phys/table.h"
@@ -68,25 +67,5 @@ PopulationStats summarize(const std::vector<MeasuredDevice>& devices);
 /// Histogram table of log10(on/off). Columns: log10_onoff, fraction.
 phys::DataTable on_off_histogram(const std::vector<MeasuredDevice>& devices,
                                  int bins = 24);
-
-/// Fab-variation spread applied to a nominal compact model — the
-/// circuit-level counterpart of MeasurementModel: instead of perturbing
-/// per-tube currents, it perturbs the transistor parameters a SPICE trial
-/// solves with.  Drive strength and leakage use the same log-normal form
-/// (sigma of ln I) the statistical study calibrates from diameter/contact
-/// variation; the threshold shift is Gaussian.
-struct DeviceVariation {
-  double sigma_vt_v = 0.03;       ///< threshold-voltage spread [V]
-  double sigma_ln_drive = 0.15;   ///< log-normal drive (k_sat) spread
-  double sigma_ln_leak = 0.5;     ///< log-normal leakage-floor spread
-  double sigma_ss_mv_dec = 4.0;   ///< subthreshold-swing spread [mV/dec]
-};
-
-/// Draw one perturbed alpha-power parameter set.  Consumes exactly four
-/// normal variates from @p rng in a fixed order, so per-trial RNG streams
-/// (phys::stream_seed) give bit-identical devices for any thread count.
-device::AlphaPowerParams perturb_alpha_power(
-    const device::AlphaPowerParams& nominal, const DeviceVariation& var,
-    phys::Rng& rng);
 
 }  // namespace carbon::fab

@@ -8,8 +8,8 @@
 /// stopped() / throw_if_stopped() at their iteration boundaries — the
 /// Newton inner loop and the transient step loop both do (see
 /// spice::SolverOptions::cancel).  Tokens chain: a child token constructed
-/// with a parent stops whenever the parent stops, which is how the
-/// ensemble runner nests a per-trial deadline inside a per-batch one.
+/// with a parent stops whenever the parent stops, which is how carbon_simd
+/// nests each request's deadline inside the server-wide drain token.
 ///
 /// Polling cost is one relaxed atomic load plus (when a deadline is armed)
 /// one steady_clock read — negligible against even a single sparse-LU

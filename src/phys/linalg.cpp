@@ -121,40 +121,4 @@ std::vector<double> solve_dense(Matrix a, const std::vector<double>& b) {
   return LuFactorization(std::move(a)).solve(b);
 }
 
-double norm2(const std::vector<double>& v) {
-  double s = 0.0;
-  for (double x : v) s += x * x;
-  return std::sqrt(s);
-}
-
-double norm_inf(const std::vector<double>& v) {
-  double m = 0.0;
-  for (double x : v) m = std::max(m, std::abs(x));
-  return m;
-}
-
-std::vector<double> solve_tridiagonal(const std::vector<double>& sub,
-                                      const std::vector<double>& diag,
-                                      const std::vector<double>& sup,
-                                      std::vector<double> rhs) {
-  const int n = static_cast<int>(diag.size());
-  CARBON_REQUIRE(static_cast<int>(sub.size()) == n - 1 &&
-                     static_cast<int>(sup.size()) == n - 1 &&
-                     static_cast<int>(rhs.size()) == n,
-                 "tridiagonal size mismatch");
-  std::vector<double> c(n - 1);
-  double piv = diag[0];
-  CARBON_REQUIRE(piv != 0.0, "tridiagonal: zero pivot");
-  c[0] = sup[0] / piv;
-  rhs[0] /= piv;
-  for (int i = 1; i < n; ++i) {
-    piv = diag[i] - sub[i - 1] * c[i - 1];
-    CARBON_REQUIRE(piv != 0.0, "tridiagonal: zero pivot");
-    if (i < n - 1) c[i] = sup[i] / piv;
-    rhs[i] = (rhs[i] - sub[i - 1] * rhs[i - 1]) / piv;
-  }
-  for (int i = n - 2; i >= 0; --i) rhs[i] -= c[i] * rhs[i + 1];
-  return rhs;
-}
-
 }  // namespace carbon::phys

@@ -4,7 +4,7 @@
 /// Dense linear algebra: a row-major matrix type (SparseMatrix::to_dense)
 /// and LU factorization with partial pivoting — the dense reference solve
 /// that tests check the circuit solver's sparse engine (phys/sparse.h)
-/// against — plus vector norms and a tridiagonal solve.
+/// against.
 
 #include <vector>
 
@@ -86,18 +86,5 @@ class LuFactorization {
 
 /// One-shot solve of A x = b.
 std::vector<double> solve_dense(Matrix a, const std::vector<double>& b);
-
-/// Euclidean norm.
-double norm2(const std::vector<double>& v);
-
-/// Max-abs norm.
-double norm_inf(const std::vector<double>& v);
-
-/// Solve a tridiagonal system (Thomas algorithm): diag a (sub), b (main),
-/// c (super), rhs d.  Used by the 1-D Poisson helper in the TFET model.
-std::vector<double> solve_tridiagonal(const std::vector<double>& sub,
-                                      const std::vector<double>& diag,
-                                      const std::vector<double>& sup,
-                                      std::vector<double> rhs);
 
 }  // namespace carbon::phys

@@ -128,9 +128,9 @@ void ThreadPool::run(int num_tasks, const std::function<void(int)>& task) {
   // Nested use — a task body (or another thread while a batch is active)
   // calling back into the pool — degrades to inline serial execution: the
   // nested batch still completes with identical task coverage, it just
-  // does not fan out.  This is what lets an ensemble trial compile a
-  // tabulated model (whose grid build is itself a parallel_for) inside a
-  // pool worker instead of dying on a reentrancy precondition.
+  // does not fan out.  This is what lets a pool task compile a tabulated
+  // model (whose grid build is itself a parallel_for) instead of dying on
+  // a reentrancy precondition.
   std::uint64_t gen = 0;
   bool inline_run = t_in_pool_run || num_tasks == 1 || num_workers_ == 0;
   if (!inline_run) {

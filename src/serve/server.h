@@ -33,8 +33,7 @@
 ///    (request deadline_ms, capped by max_deadline_s) chained to the
 ///    server-wide drain token and polled through every Newton iteration,
 ///    transient step and AC/noise frequency point: a hung solve becomes a
-///    bounded {"type":"timeout"} document, mirroring the ensemble
-///    engine's hung-corner handling.
+///    bounded {"type":"timeout"} document.
 ///  * Disconnect detection: the I/O thread polls every lent connection for
 ///    peer hang-up and cancels its request, so a client that gives up does
 ///    not keep burning a worker.

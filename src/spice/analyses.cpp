@@ -170,8 +170,8 @@ bool newton_solve(Circuit& ckt, std::vector<double>& x,
     // that returns NaN from its very first eval throws HERE on the worker
     // that builds the pattern — and inside the Newton loop on a worker
     // whose workspace already has it.  Classify both identically (a
-    // failed rung for the escalation ladder) so a trial's failure record
-    // does not depend on which trials ran earlier on the same workspace.
+    // failed rung for the escalation ladder) so a solve's failure record
+    // does not depend on which solves ran earlier on the same workspace.
     if (diag) {
       diag->reason = NewtonDiag::Reason::kNonFinite;
       diag->culprit = e.element();
@@ -798,7 +798,8 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
   ckt.assign_branches();
 
   // Workspace shared by the initial OP and every time step — and, when the
-  // caller provides one (ensemble workers), across whole transient runs.
+  // caller provides one (a session's cached topology), across whole
+  // transient runs.
   NewtonWorkspace local_ws;
   NewtonWorkspace& ws = opts.workspace ? *opts.workspace : local_ws;
 

@@ -66,7 +66,7 @@ struct SolverOptions {
 
   /// Optional record of the solve's own work (see SolveRecord); every
   /// analysis copies it into the StampContexts it builds.  Not owned; must
-  /// outlive the solve.  Single-threaded: parallel trials need one record
+  /// outlive the solve.  Single-threaded: parallel solves need one record
   /// each.
   SolveRecord* record = nullptr;
 };
@@ -447,11 +447,11 @@ struct TransientOptions {
   /// adaptive/fixed benchmark pair compares at matched accuracy.
   SolverOptions solver;
 
-  /// Optional caller-owned Newton workspace.  An ensemble worker that
-  /// re-runs one topology under many perturbed device models passes the
-  /// same workspace every trial, so the matrix pattern, slot tables and
-  /// the symbolic factorization are built once per worker
-  /// instead of once per trial.  Null = per-call workspace, as before.
+  /// Optional caller-owned Newton workspace.  A SimSession re-runs one
+  /// cached topology for every step point and repeated deck and passes the
+  /// same workspace each time, so the matrix pattern, slot tables and the
+  /// symbolic factorization are built once per topology instead of once
+  /// per run.  Null = per-call workspace.
   NewtonWorkspace* workspace = nullptr;
 };
 

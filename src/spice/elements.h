@@ -368,8 +368,8 @@ class Fet final : public Element {
                      std::vector<NoiseSource>& out) const override;
   void reset_state() override;
   const device::IDeviceModel& model() const { return *model_; }
-  /// Swap the compact model in place (ensemble trials re-solve one
-  /// topology under thousands of perturbed models this way).  The stamp
+  /// Swap the compact model in place (deck retune re-solves a cached
+  /// topology under each step point's models this way).  The stamp
   /// footprint is model-independent, so the matrix pattern and slot tables
   /// stay valid; the quiescent-bypass cache is invalidated.
   void set_model(device::DeviceModelPtr model);

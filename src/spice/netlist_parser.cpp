@@ -114,11 +114,16 @@ double parse_spice_number(const std::string& token) {
                          c == '.' || c == '+' || c == '-' || c == 'e';
     if (!decimal) throw ParseError("not a plain decimal number: " + token);
   }
-  if (!std::isfinite(value)) {
-    throw ParseError("non-finite numeric literal: " + token);
-  }
+  // Checked after scaling: a suffix can overflow a finite mantissa
+  // ("1e300t").
+  const auto finite = [&](double v) {
+    if (!std::isfinite(v)) {
+      throw ParseError("non-finite numeric literal: " + token);
+    }
+    return v;
+  };
   const std::string suffix = t.substr(pos);
-  if (suffix.empty()) return value;
+  if (suffix.empty()) return finite(value);
   // Longest match first: "meg"/"mil" before "m".  A recognized suffix may
   // carry a purely alphabetic unit tail ("10kohm", "100nF"); any other
   // trailing text is junk.
@@ -132,7 +137,7 @@ double parse_spice_number(const std::string& token) {
     const size_t len = std::strlen(s.text);
     if (suffix.compare(0, len, s.text) == 0) {
       const std::string rest = suffix.substr(len);
-      if (all_alpha(rest)) return value * s.scale;
+      if (all_alpha(rest)) return finite(value * s.scale);
       throw ParseError("trailing junk after number: " + token);
     }
   }
@@ -1084,13 +1089,24 @@ CardValues eval_card(const Deck& deck, const ModelRegistry& base,
   auto value = [&](const std::string& tok) {
     return eval_card_value(tok, env, card.line_no, card.line);
   };
+  // The one range check of element values: instantiate() and retune()
+  // both take their values from here, so a cached topology refuses what a
+  // fresh one does.  The element constructors' checks stay as invariants.
+  auto positive = [&](const std::string& tok, const char* what) {
+    const double v = value(tok);
+    if (!(std::isfinite(v) && v > 0.0)) {
+      fail(card.line_no, card.line,
+           std::string(what) + " must be finite and > 0");
+    }
+    return v;
+  };
   CardValues out;
   switch (card.kind) {
     case 'r':
-      out.ohms = value(card.values[0]);
+      out.ohms = positive(card.values[0], "resistance");
       break;
     case 'c':
-      out.farad = value(card.values[0]);
+      out.farad = positive(card.values[0], "capacitance");
       if (const auto* ic = find_option(card.options, "ic")) {
         out.v_init = value(*ic);
       }
@@ -1101,16 +1117,19 @@ CardValues eval_card(const Deck& deck, const ModelRegistry& base,
       break;
     case 'd':
       if (const auto* is = find_option(card.options, "is")) {
-        out.i_sat = value(*is);
+        out.i_sat = positive(*is, "saturation current is");
       }
       if (const auto* n = find_option(card.options, "n")) {
         out.ideality = value(*n);
+        if (!(std::isfinite(out.ideality) && out.ideality >= 1.0)) {
+          fail(card.line_no, card.line, "ideality n must be finite and >= 1");
+        }
       }
       break;
     case 'm':
       out.model = resolve_model(deck, base, card, env, memo);
       if (const auto* m = find_option(card.options, "m")) {
-        out.mult = value(*m);
+        out.mult = positive(*m, "multiplier m");
       }
       break;
     default:

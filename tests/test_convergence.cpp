@@ -1,7 +1,8 @@
 // Convergence robustness: the escalation ladder (Newton -> gmin ramp ->
 // source stepping -> pseudo-transient continuation), structured failure
-// diagnostics on pathological decks, and the cold ring-oscillator operating
-// points the seed engine could not crack without a VDD power-up ramp.
+// diagnostics on pathological decks, the cold ring-oscillator operating
+// points the seed engine could not crack without a VDD power-up ramp, and
+// cancellation, which the ladder must never swallow as a failed rung.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,8 +12,11 @@
 #include <vector>
 
 #include "circuit/cells.h"
+#include "circuit/sram.h"
 #include "device/alpha_power.h"
+#include "device/faulty.h"
 #include "device/ivmodel.h"
+#include "phys/cancel.h"
 #include "spice/analyses.h"
 #include "spice/circuit.h"
 #include "spice/netlist_parser.h"
@@ -22,6 +26,7 @@ namespace {
 namespace sp = carbon::spice;
 namespace dev = carbon::device;
 namespace cc = carbon::circuit;
+namespace phys = carbon::phys;
 
 using Cause = sp::SolveFailure::Cause;
 
@@ -50,6 +55,20 @@ sp::SolveFailure expect_failure(sp::Circuit& ckt, const sp::SolverOptions& o,
   }
   ADD_FAILURE() << "operating_point unexpectedly converged";
   return {};
+}
+
+/// A rendered ladder block names the winning stage twice, as `stage` and
+/// as the used_* flags; the two must agree.
+void expect_flags_match_stage(const carbon::core::Json& ladder) {
+  const std::string stage = ladder["stage"].as_string();
+  EXPECT_EQ(ladder["used_gmin_stepping"].as_bool(), stage == "gmin-stepping")
+      << ladder.dump();
+  EXPECT_EQ(ladder["used_source_stepping"].as_bool(),
+            stage == "source-stepping")
+      << ladder.dump();
+  EXPECT_EQ(ladder["used_pseudo_transient"].as_bool(),
+            stage == "pseudo-transient")
+      << ladder.dump();
 }
 
 // ---------------------------------------------------------------------------
@@ -188,6 +207,7 @@ TEST(Ladder, GminSteppingRescuesTheLimitCycleDeck) {
   sp::Circuit ckt = make_limit_cycle_deck();
   const auto sol = sp::operating_point(ckt);
   EXPECT_EQ(sol.stats.stage, sp::SolveStage::kGminStepping);
+  expect_flags_match_stage(sp::to_json(sol.stats));
   EXPECT_NEAR(sp::node_voltage(ckt, sol, "sw"), 0.5, 5e-3);
 }
 
@@ -230,6 +250,7 @@ TEST(Ladder, RingColdOpConvergesPlainNewton51) {
   // After the sparse-refactor pivot-quality fix the cold metastable OP is
   // a plain Newton solve; any fallback firing here is a regression.
   EXPECT_EQ(sol.stats.stage, sp::SolveStage::kNewton);
+  expect_flags_match_stage(sp::to_json(sol.stats));
   EXPECT_LE(sol.stats.iterations, 25);
   expect_ring_solved(*f.bench.ckt, sol, 51);
 }
@@ -247,6 +268,7 @@ TEST(Ladder, AdversarialStartFallsBackToGminStepping) {
   const auto sol =
       sp::operating_point(*f.bench.ckt, {}, &f.adversarial);
   EXPECT_EQ(sol.stats.stage, sp::SolveStage::kGminStepping);
+  expect_flags_match_stage(sp::to_json(sol.stats));
   EXPECT_GT(sol.stats.gmin_rungs, 0);
   expect_ring_solved(*f.bench.ckt, sol, 51);
 }
@@ -257,6 +279,7 @@ TEST(Ladder, SourceSteppingCracksItWithGminDisabled) {
   o.allow_gmin_stepping = false;
   const auto sol = sp::operating_point(*f.bench.ckt, o, &f.adversarial);
   EXPECT_EQ(sol.stats.stage, sp::SolveStage::kSourceStepping);
+  expect_flags_match_stage(sp::to_json(sol.stats));
   EXPECT_GT(sol.stats.source_rungs, 0);
   expect_ring_solved(*f.bench.ckt, sol, 51);
 }
@@ -268,6 +291,7 @@ TEST(Ladder, PseudoTransientIsTheLastResortAndWorks) {
   o.allow_source_stepping = false;
   const auto sol = sp::operating_point(*f.bench.ckt, o, &f.adversarial);
   EXPECT_EQ(sol.stats.stage, sp::SolveStage::kPseudoTransient);
+  expect_flags_match_stage(sp::to_json(sol.stats));
   EXPECT_GT(sol.stats.ptc_steps, 0);
   expect_ring_solved(*f.bench.ckt, sol, 51);
 }
@@ -346,6 +370,81 @@ TEST(TransientRecovery, FixedStepReentersTheLadderAtDtMin) {
 
 TEST(TransientRecovery, AdaptiveReentersTheLadderAtDtMin) {
   run_recovery_transient(true);
+}
+
+TEST(TransientRecovery, MidRunNanEvalFailsAsNonFinite) {
+  // The fault arms after 400 faithful evals: past the t=0 operating point,
+  // inside the step loop.  No step size or ladder rung can cure a NaN
+  // device, so the run fails with a structured non-finite report.
+  dev::FaultSpec s;
+  s.kind = dev::FaultKind::kNanEval;
+  s.trigger_evals = 400;
+  auto bench = cc::make_sram_write_bench(dev::with_fault(fig2_model(), s));
+  sp::TransientOptions o;
+  o.t_stop = 4e-9;
+  o.dt = 1e-12;
+  o.adaptive = true;
+  o.dt_print = 20e-12;
+  o.ic = sp::TransientIc::kFromOperatingPoint;
+  sp::SolveRecord st;
+  o.solver.record = &st;
+  try {
+    sp::transient(*bench.ckt, o, {"q", "qb"});
+    FAIL() << "expected SolveFailureError";
+  } catch (const sp::SolveFailureError& e) {
+    EXPECT_EQ(e.failure().cause, Cause::kNonFinite) << e.what();
+  }
+  EXPECT_GT(st.steps_accepted, 0);  // it failed mid-run, not at t=0
+}
+
+// ---------------------------------------------------------------------------
+// Deadlines and cancellation
+// ---------------------------------------------------------------------------
+
+TEST(Cancellation, StopsNewtonMidSolve) {
+  // Every eval sleeps 10 ms; the armed 40 ms deadline fires between Newton
+  // iterations and unwinds as CancelledError — NOT as a convergence
+  // failure the escalation ladder would swallow.
+  dev::FaultSpec s;
+  s.kind = dev::FaultKind::kStall;
+  s.stall_s = 10e-3;
+  auto bench = cc::make_inverter(dev::with_fault(fig2_model(), s));
+  phys::CancelToken tok;
+  tok.set_deadline_after(0.04);
+  sp::SolverOptions o;
+  o.cancel = &tok;
+  EXPECT_THROW(sp::operating_point(*bench.ckt, o), phys::CancelledError);
+}
+
+TEST(Cancellation, StopsTransientMidRun) {
+  // The stall arms only after 200 faithful evals, so the operating point
+  // succeeds and the deadline fires inside the step loop.
+  dev::FaultSpec s;
+  s.kind = dev::FaultKind::kStall;
+  s.stall_s = 10e-3;
+  s.trigger_evals = 200;
+  auto bench = cc::make_inverter(dev::with_fault(fig2_model(), s));
+  phys::CancelToken tok;
+  tok.set_deadline_after(0.05);
+  sp::TransientOptions opt;
+  opt.t_stop = 1e-9;
+  opt.dt = 1e-12;
+  opt.solver.cancel = &tok;
+  EXPECT_THROW(sp::transient(*bench.ckt, opt, {"out"}), phys::CancelledError);
+}
+
+TEST(Cancellation, ExplicitCancelWinsImmediately) {
+  auto bench = cc::make_inverter(fig2_model());
+  phys::CancelToken tok;
+  tok.cancel();
+  sp::SolverOptions o;
+  o.cancel = &tok;
+  try {
+    sp::operating_point(*bench.ckt, o);
+    FAIL() << "expected CancelledError";
+  } catch (const phys::CancelledError& e) {
+    EXPECT_FALSE(e.deadline_expired());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// Dense LU and tridiagonal solvers behind the MNA engine.
+// Dense LU: the reference solve the sparse-engine tests compare against.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,10 +11,7 @@ namespace {
 
 using carbon::phys::LuFactorization;
 using carbon::phys::Matrix;
-using carbon::phys::norm2;
-using carbon::phys::norm_inf;
 using carbon::phys::solve_dense;
-using carbon::phys::solve_tridiagonal;
 
 TEST(Matrix, StorageAndFill) {
   Matrix m(2, 3, 1.5);
@@ -120,33 +117,6 @@ TEST(Lu, FactorizationReusableForManyRhs) {
   EXPECT_NEAR(x1[0], x2[2], 1e-13);
   EXPECT_NEAR(x1[2], x2[0], 1e-13);
   EXPECT_GT(lu.pivot_quality(), 0.0);
-}
-
-TEST(Tridiagonal, MatchesDenseSolve) {
-  const int n = 6;
-  std::vector<double> sub(n - 1, -1.0), diag(n, 2.5), sup(n - 1, -1.0);
-  std::vector<double> rhs{1, 2, 3, 4, 5, 6};
-  const auto x = solve_tridiagonal(sub, diag, sup, rhs);
-  Matrix a(n, n);
-  for (int i = 0; i < n; ++i) {
-    a(i, i) = diag[i];
-    if (i > 0) a(i, i - 1) = sub[i - 1];
-    if (i < n - 1) a(i, i + 1) = sup[i];
-  }
-  const auto xd = solve_dense(a, rhs);
-  for (int i = 0; i < n; ++i) EXPECT_NEAR(x[i], xd[i], 1e-12);
-}
-
-TEST(Tridiagonal, SizeMismatchThrows) {
-  EXPECT_THROW(
-      solve_tridiagonal({1.0}, {1.0, 1.0, 1.0}, {1.0}, {1.0, 1.0, 1.0}),
-      carbon::phys::PreconditionError);
-}
-
-TEST(Norms, BasicValues) {
-  EXPECT_DOUBLE_EQ(norm2({3.0, 4.0}), 5.0);
-  EXPECT_DOUBLE_EQ(norm_inf({-7.0, 2.0, 5.0}), 7.0);
-  EXPECT_DOUBLE_EQ(norm2({}), 0.0);
 }
 
 // ---- the reusable-workspace API the SPICE Newton loop runs on ----

@@ -3,8 +3,8 @@
 /// snapshot consistency while writers are running (the TSan targets),
 /// tracer ring wraparound, Chrome-trace JSON well-formedness, Prometheus
 /// exposition, the per-deck phase-time split end-to-end through a
-/// SimSession, and the golden schemas of the serve::Server registry and of
-/// the documents' stats blocks.
+/// SimSession, the golden schemas of the serve::Server registry and of the
+/// documents' stats blocks, and core::Json string escaping.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/server.h"
-#include "spice/ensemble.h"
 #include "spice/session.h"
 
 namespace obs = carbon::obs;
@@ -350,7 +349,7 @@ std::vector<std::string> keys_of(const Json& obj) {
 
 /// Golden layout of the solver accounting the documents render: the `.op`
 /// stats block, the `.tran` stats block and its nested operating-point
-/// block, an ensemble trial's stats and session.phase_ns.  Consumers
+/// block, and session.phase_ns.  Consumers
 /// (deckbench's trace reads iterations, stage, newton_iterations,
 /// steps_accepted, steps_rejected_lte and op) index these by name; a
 /// rename, drop or reorder must show up in review as a diff of these lists.
@@ -380,18 +379,12 @@ TEST(ObsSchema, StatsBlocksAreStable) {
   EXPECT_EQ(keys_of(analyses.at(1)["stats"]["op"]), kLadder);
   EXPECT_EQ(keys_of(doc["session"]["phase_ns"]),
             (std::vector<std::string>{"stamp", "eval", "factor", "solve"}));
+}
 
-  carbon::spice::EnsembleOptions eo;
-  eo.num_threads = 1;
-  const auto result = carbon::spice::EnsembleRunner(eo).run(
-      1, [](int) {
-        return [](carbon::spice::TrialContext&) {
-          return carbon::spice::TrialMeasurement{};
-        };
-      });
-  const Json trial = to_json(result.trials.at(0));
-  EXPECT_EQ(keys_of(trial["stats"]), kTran);
-  EXPECT_EQ(keys_of(trial["stats"]["op"]), kLadder);
+TEST(ObsJson, EscapesQuotesBackslashesAndControlCharacters) {
+  auto j = Json::object();
+  j.set("k", "a\"b\\c\n\x01");
+  EXPECT_EQ(j.dump(), "{\"k\":\"a\\\"b\\\\c\\n\\u0001\"}");
 }
 
 }  // namespace

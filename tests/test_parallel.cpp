@@ -116,9 +116,9 @@ TEST(ParallelFor, FailFastStopsAnInlineBatchAtTheThrow) {
 }
 
 TEST(ParallelFor, NestedCallExecutesInline) {
-  // parallel_for from inside a pool task (e.g. an ensemble trial compiling
-  // a tabulated model) must degrade to inline execution with full
-  // coverage, not deadlock or trip a reentrancy precondition.
+  // parallel_for from inside a pool task (e.g. one compiling a tabulated
+  // model) must degrade to inline execution with full coverage, not
+  // deadlock or trip a reentrancy precondition.
   std::atomic<long> total{0};
   phys::parallel_for_each(
       8,

@@ -116,62 +116,85 @@ TEST(SimSession, StepsRetuneToTheSameResultAsFreshRuns) {
               step_ref["measures"]["vswitch"].as_double(), 1e-12);
 }
 
+/// A deck that must come back as a `parse` document naming its card.  A
+/// case with a `good` twin (the same topology with valid values) is also
+/// run after that twin on one session, where it hits the topology cache.
+struct MalformedCase {
+  const char* deck;
+  int line;
+  const char* line_text;
+  const char* reason;
+  const char* good = nullptr;
+};
+
+const MalformedCase kMalformedDecks[] = {
+    {"v1 in 0 1\nr1 in out 1k\nr2 out\n.op\n.end\n", 3, "r2 out",
+     "R wants"},
+    // Decks with no unknown to solve for.
+    {".title x\n.op\n.end\n", 0, "", "no circuit node"},
+    {"r1 0 0 1k\n.op\n.end\n", 0, "", "no circuit node"},
+    // A .probe of a node the circuit lacks.
+    {"v1 a 0 1\nr1 a 0 1k\n.probe v(zz)\n.op\n.end\n", 3,
+     ".probe v(zz)", "unknown node 'zz'"},
+    {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.noise v(zz) v1 dec 10 1 1meg\n",
+     4, ".noise v(zz) v1 dec 10 1 1meg", "non-ground circuit node"},
+    // .ac/.noise grids no sweep can march: descending, starting at 0,
+    // no points per decade.
+    {"v1 a 0 dc 0 ac 1\nr1 a b 1k\nc1 b 0 1n\n.op\n.ac dec 10 1meg 1\n",
+     5, ".ac dec 10 1meg 1", "fstart < fstop"},
+    {"v1 a 0 dc 0 ac 1\nr1 a b 1k\nc1 b 0 1n\n.ac dec 10 0 1meg\n", 4,
+     ".ac dec 10 0 1meg", "fstart < fstop"},
+    {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.noise v(b) v1 dec 0 1 1meg\n", 4,
+     ".noise v(b) v1 dec 0 1 1meg", "points per decade"},
+    // .step and .dc grids whose point count overflows an int, and a
+    // .step grid over the cap only as a cartesian product.
+    {"v1 a 0 1\nr1 a 0 {r}\n.param r=1\n.step param r 1 1e12 1\n.op\n",
+     4, ".step param r 1 1e12 1", "over 10000 points"},
+    {"v1 a 0 1\nr1 a 0 {r}\n.param r=1 s=1\n.step param r 1 200 1\n"
+     ".step param s 1 200 1\n.op\n",
+     5, ".step param s 1 200 1", "over 10000 points"},
+    {"v1 a 0 1\nr1 a 0 1k\n.dc v1 0 1e9 1e-3\n", 3, ".dc v1 0 1e9 1e-3",
+     "over 10000 points"},
+    {"v1 a 0 1\nr1 a 0 1k\n.dc v1 0 {1/0} 1\n", 3, ".dc v1 0 {1/0} 1",
+     "finite start and stop"},
+    // .tran spans and tolerances no step loop can march.
+    {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 0 1n\n", 4, ".tran 0 1n",
+     "positive tstep"},
+    {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran -1p 1n\n", 4, ".tran -1p 1n",
+     "positive tstep"},
+    {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1p {1/0}\n", 4,
+     ".tran 1p {1/0}", "must be finite"},
+    {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1p 1n fixed={0/0}\n", 4,
+     ".tran 1p 1n fixed={0/0}", "must be finite"},
+    {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1p 1n fixed=1 lte_reltol=0\n",
+     4, ".tran 1p 1n fixed=1 lte_reltol=0", "must be positive"},
+    {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1p 1n lte_abstol=-1\n", 4,
+     ".tran 1p 1n lte_abstol=-1", "must be positive"},
+    {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1e-30 1n\n", 4,
+     ".tran 1e-30 1n", "over 1e6 rows"},
+    {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.op\n.tran 1p 1n print=1e-30\n", 5,
+     ".tran 1p 1n print=1e-30", "over 1e6 rows"},
+    // Element values out of range, and a literal whose suffix overflows.
+    {"v1 a 0 1\nr1 a 0 -1k\n.op\n", 2, "r1 a 0 -1k",
+     "resistance must be finite and > 0", "v1 a 0 1\nr1 a 0 1k\n.op\n"},
+    {"v1 a 0 1\nr1 a b 1k\nc1 b 0 {0/0}\n.tran 1n 10n\n", 3,
+     "c1 b 0 {0/0}", "capacitance must be finite and > 0",
+     "v1 a 0 1\nr1 a b 1k\nc1 b 0 1p\n.tran 1n 10n\n"},
+    {"v1 a 0 1\nr1 a b 1k\nd1 b 0 n=0.5\n.op\n", 3, "d1 b 0 n=0.5",
+     "ideality n must be finite and >= 1",
+     "v1 a 0 1\nr1 a b 1k\nd1 b 0\n.op\n"},
+    {"v1 a 0 1\nr1 a b 1k\nd1 b 0 is=-1e-14\n.op\n", 3,
+     "d1 b 0 is=-1e-14", "saturation current is must be finite and > 0",
+     "v1 a 0 1\nr1 a b 1k\nd1 b 0\n.op\n"},
+    {".model nch alphan\nv1 d 0 1\nmn d d 0 nch m=0\n.op\n", 3,
+     "mn d d 0 nch m=0", "multiplier m must be finite and > 0",
+     ".model nch alphan\nv1 d 0 1\nmn d d 0 nch m=2\n.op\n"},
+    {"v1 a 0 1e300t\nr1 a 0 1k\n.op\n", 1, "v1 a 0 1e300t",
+     "non-finite numeric literal", "v1 a 0 1\nr1 a 0 1k\n.op\n"},
+};
+
 TEST(SimSession, MalformedDeckYieldsStructuredError) {
-  struct Case {
-    const char* deck;
-    int line;
-    const char* line_text;
-    const char* reason;
-  };
-  const Case cases[] = {
-      {"v1 in 0 1\nr1 in out 1k\nr2 out\n.op\n.end\n", 3, "r2 out",
-       "R wants"},
-      // Decks with no unknown to solve for.
-      {".title x\n.op\n.end\n", 0, "", "no circuit node"},
-      {"r1 0 0 1k\n.op\n.end\n", 0, "", "no circuit node"},
-      // A .probe of a node the circuit lacks.
-      {"v1 a 0 1\nr1 a 0 1k\n.probe v(zz)\n.op\n.end\n", 3,
-       ".probe v(zz)", "unknown node 'zz'"},
-      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.noise v(zz) v1 dec 10 1 1meg\n",
-       4, ".noise v(zz) v1 dec 10 1 1meg", "non-ground circuit node"},
-      // .ac/.noise grids no sweep can march: descending, starting at 0,
-      // no points per decade.
-      {"v1 a 0 dc 0 ac 1\nr1 a b 1k\nc1 b 0 1n\n.op\n.ac dec 10 1meg 1\n",
-       5, ".ac dec 10 1meg 1", "fstart < fstop"},
-      {"v1 a 0 dc 0 ac 1\nr1 a b 1k\nc1 b 0 1n\n.ac dec 10 0 1meg\n", 4,
-       ".ac dec 10 0 1meg", "fstart < fstop"},
-      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.noise v(b) v1 dec 0 1 1meg\n", 4,
-       ".noise v(b) v1 dec 0 1 1meg", "points per decade"},
-      // .step and .dc grids whose point count overflows an int, and a
-      // .step grid over the cap only as a cartesian product.
-      {"v1 a 0 1\nr1 a 0 {r}\n.param r=1\n.step param r 1 1e12 1\n.op\n",
-       4, ".step param r 1 1e12 1", "over 10000 points"},
-      {"v1 a 0 1\nr1 a 0 {r}\n.param r=1 s=1\n.step param r 1 200 1\n"
-       ".step param s 1 200 1\n.op\n",
-       5, ".step param s 1 200 1", "over 10000 points"},
-      {"v1 a 0 1\nr1 a 0 1k\n.dc v1 0 1e9 1e-3\n", 3, ".dc v1 0 1e9 1e-3",
-       "over 10000 points"},
-      {"v1 a 0 1\nr1 a 0 1k\n.dc v1 0 {1/0} 1\n", 3, ".dc v1 0 {1/0} 1",
-       "finite start and stop"},
-      // .tran spans and tolerances no step loop can march.
-      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 0 1n\n", 4, ".tran 0 1n",
-       "positive tstep"},
-      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran -1p 1n\n", 4, ".tran -1p 1n",
-       "positive tstep"},
-      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1p {1/0}\n", 4,
-       ".tran 1p {1/0}", "must be finite"},
-      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1p 1n fixed={0/0}\n", 4,
-       ".tran 1p 1n fixed={0/0}", "must be finite"},
-      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1p 1n fixed=1 lte_reltol=0\n",
-       4, ".tran 1p 1n fixed=1 lte_reltol=0", "must be positive"},
-      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1p 1n lte_abstol=-1\n", 4,
-       ".tran 1p 1n lte_abstol=-1", "must be positive"},
-      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1e-30 1n\n", 4,
-       ".tran 1e-30 1n", "over 1e6 rows"},
-      {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.op\n.tran 1p 1n print=1e-30\n", 5,
-       ".tran 1p 1n print=1e-30", "over 1e6 rows"},
-  };
-  for (const Case& c : cases) {
+  for (const MalformedCase& c : kMalformedDecks) {
     SCOPED_TRACE(c.deck);
     sp::SimSession session;
     const Json doc = session.run_deck_text(c.deck);
@@ -184,6 +207,26 @@ TEST(SimSession, MalformedDeckYieldsStructuredError) {
         << doc.dump(1);
     // Client-visible text names the deck, never a server source file.
     EXPECT_EQ(doc.dump().find("/src/"), std::string::npos) << doc.dump(1);
+  }
+}
+
+TEST(SimSession, MalformedValuesFailAlikeOnACachedTopology) {
+  // Values reach a cached circuit through retune and a fresh one through
+  // instantiate; both must refuse a bad value with the same document.
+  for (const MalformedCase& c : kMalformedDecks) {
+    if (c.good == nullptr) continue;
+    SCOPED_TRACE(c.deck);
+    sp::SimSession fresh;
+    const Json alone = fresh.run_deck_text(c.deck);
+    EXPECT_EQ(alone["error"]["type"].as_string(), "parse") << alone.dump(1);
+    sp::SimSession session;
+    const Json good = session.run_deck_text(c.good);
+    ASSERT_TRUE(good["ok"].as_bool()) << good.dump(1);
+    EXPECT_EQ(session.run_deck_text(c.deck).dump(), alone.dump());
+    // The refused values left the cached circuit usable.
+    const Json again = session.run_deck_text(c.good);
+    ASSERT_TRUE(again["ok"].as_bool()) << again.dump(1);
+    EXPECT_TRUE(again["topology"]["cache_hit"].as_bool());
   }
 }
 

@@ -3,9 +3,10 @@
 
 Boots the daemon on an ephemeral TCP port with the fault-injection models
 registered, then hammers it from concurrent client threads with the full
-fault mix — good decks, parse errors (overflowing .step/.dc grids among
-them), NaN solve failures, injected hangs under tight deadlines,
-oversized requests and mid-request disconnects — and asserts the
+fault mix — good decks, parse errors (overflowing .step/.dc grids and
+out-of-range element values among them), NaN solve failures, injected
+hangs under tight deadlines, oversized requests and mid-request
+disconnects — and asserts the
 robustness contract:
 
   * every request on a surviving connection yields exactly one JSON
@@ -51,7 +52,11 @@ PARSE_DECK = "r1 in out\n.op\n.end\n"
 # daemon until the count was checked before the cast).
 STEP_DECK = "v1 a 0 1\nr1 a 0 {r}\n.param r=1\n.step param r 1 1e12 1\n.op\n"
 DC_DECK = "v1 a 0 1\nr1 a 0 1k\n.dc v1 0 1e9 1e-3\n"
-PARSE_DECKS = [PARSE_DECK, STEP_DECK, DC_DECK]
+# Values out of range, in GOOD_DECK's topology: a worker that has it cached
+# retunes instead of instantiating, and must refuse the same way.
+NEG_R_DECK = "v1 in 0 1\nr1 in out -1k\nr2 out 0 1k\n.op\n.end\n"
+INF_DECK = "v1 in 0 1e300t\nr1 in out 1k\nr2 out 0 1k\n.op\n.end\n"
+PARSE_DECKS = [PARSE_DECK, STEP_DECK, DC_DECK, NEG_R_DECK, INF_DECK]
 NAN_DECK = "v1 d 0 1\nv2 g 0 1\nm1 d g 0 nanfet\n.op\n.end\n"
 # A transient on a stalling FET: every accepted step burns a stalled
 # eval, so the run cannot finish inside the deadline below.
@@ -146,9 +151,9 @@ def client_mix(port, seed, rounds):
                     if doc.get("id") != i:
                         fail("good deck: response id not echoed")
             elif kind == 1:
-                deck = PARSE_DECKS[(seed + i) % len(PARSE_DECKS)]
-                expect_type(c.rpc({"type": "run", "deck": deck}),
-                            "parse", "parse-error deck")
+                for deck in PARSE_DECKS:
+                    expect_type(c.rpc({"type": "run", "deck": deck}),
+                                "parse", "parse-error deck")
             elif kind == 2:
                 expect_type(c.rpc({"type": "run", "deck": NAN_DECK}),
                             "solve_failure", "NaN deck")

@@ -408,7 +408,6 @@ void BM_TransientRingScaleAdaptive(benchmark::State& state) {
   opts.dt = 2e-12;
   opts.adaptive = true;
   opts.lte_reltol = 1e-4;
-  opts.lte_pi = true;
   opts.bypass_vtol = 1e-4;
   spice::SolveRecord stats;
   opts.solver.record = &stats;
@@ -448,7 +447,6 @@ void BM_TransientSramColumnAdaptive(benchmark::State& state) {
   opts.dt = 1e-12;
   opts.adaptive = true;
   opts.lte_reltol = 1e-4;
-  opts.lte_pi = true;
   opts.bypass_vtol = 1e-4;
   opts.dt_print = 8e-12;
   opts.ic = spice::TransientIc::kFromOperatingPoint;

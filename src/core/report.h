@@ -84,6 +84,10 @@ class Json {
   const Json* find(const std::string& key) const;
   /// Object member access; throws out_of_range when absent.
   const Json& operator[](const std::string& key) const;
+  /// Object members in insertion order (empty for non-objects).
+  const std::vector<std::pair<std::string, Json>>& members() const {
+    return members_;
+  }
 
  private:
   enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject };

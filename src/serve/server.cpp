@@ -156,6 +156,7 @@ struct Server::Lease {
 struct Server::Conn {
   FrameReader frames;
   std::unique_ptr<Lease> lease;  ///< non-null while the connection is lent
+  bool half_closed = false;      ///< the peer shut down its sending side
 };
 
 Server::Server(ServerConfig cfg)
@@ -314,12 +315,13 @@ void Server::io_main() {
       if (!c.lease) {
         fds.push_back({fd, POLLIN, 0});
       } else if (!c.lease->gone.load(std::memory_order_acquire)) {
-        // A lent connection is watched for hang-up only: POLLRDHUP catches
-        // an orderly close() by the peer, POLLERR/POLLHUP (always reported)
-        // catch resets, and pipelined request bytes wait in the kernel.
-        // Once gone it leaves the set until its worker returns it, so the
-        // loop cannot spin on it.
-        fds.push_back({fd, POLLRDHUP, 0});
+        // A lent connection is watched for hang-up only, and pipelined
+        // request bytes wait in the kernel.  POLLRDHUP reports that the peer
+        // stopped sending, once; POLLHUP/POLLERR (always reported) that it
+        // is gone.  Once gone it leaves the set until its worker returns it,
+        // so the loop cannot spin on it.
+        fds.push_back({fd, static_cast<short>(c.half_closed ? 0 : POLLRDHUP),
+                       0});
       }
     }
     const std::size_t conn_end = fds.size();
@@ -352,6 +354,12 @@ void Server::io_main() {
       if (it == conns.end()) continue;
       Conn& c = it->second;
       if (c.lease) {
+        if (!(fds[i].revents & (POLLHUP | POLLERR))) {
+          // Half-closed (shutdown(SHUT_WR), nc -N): the peer still reads.
+          // The request runs and is answered; the fd closes on EOF after.
+          c.half_closed = true;
+          continue;
+        }
         // The peer hung up mid-request: cancel the solve; the worker skips
         // the reply, and the fd closes when it comes back.
         c.lease->gone.store(true, std::memory_order_release);

@@ -36,7 +36,9 @@
 ///    bounded {"type":"timeout"} document.
 ///  * Disconnect detection: the I/O thread polls every lent connection for
 ///    peer hang-up and cancels its request, so a client that gives up does
-///    not keep burning a worker.
+///    not keep burning a worker.  A half-close (the peer shut down only
+///    its sending side) is no hang-up: the request is answered, and the
+///    connection closes at the end of what the peer sent.
 ///  * Worker replies are bounded by write_timeout_s; the I/O thread's own
 ///    replies by the shorter of 1 s and write_timeout_s.
 ///  * Graceful drain (SIGTERM/SIGINT or request_drain()): close the

@@ -18,12 +18,13 @@ phys::DataTable ac_sweep(Circuit& ckt, VSource& input,
   // DC operating point first; the AC system is linearized around it.
   const Solution dc_sol = operating_point(ckt, opt.dc, nullptr, opt.workspace);
 
-  // The stimulus magnitude must come back down even when the sweep throws
+  // The input's own magnitude comes back even when the sweep throws
   // (singular small-signal system at some frequency).
   struct MagnitudeGuard {
     VSource& src;
-    ~MagnitudeGuard() { src.set_ac_magnitude(0.0); }
-  } guard{input};
+    double prev;
+    ~MagnitudeGuard() { src.set_ac_magnitude(prev); }
+  } guard{input, input.ac_magnitude()};
   input.set_ac_magnitude(1.0);
 
   std::vector<std::string> cols{"freq_hz"};

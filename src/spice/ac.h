@@ -40,7 +40,8 @@ struct AcOptions {
 /// Run an AC sweep with @p input as the unit-magnitude stimulus.
 /// Columns: freq_hz, then |v(<probe>)| and phase_deg(<probe>) per probe.
 /// The stimulus magnitude of every other source is left untouched (they
-/// are AC-grounded unless set_ac_magnitude was called).
+/// are AC-grounded unless set_ac_magnitude was called), and the input's
+/// own magnitude is restored when the sweep returns or throws.
 phys::DataTable ac_sweep(Circuit& ckt, VSource& input,
                          const std::vector<std::string>& probes,
                          const AcOptions& opt = {});

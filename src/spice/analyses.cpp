@@ -51,6 +51,26 @@ std::string row_name(const Circuit& ckt, int row) {
   return "branch current #" + std::to_string(row - ckt.num_nodes());
 }
 
+// The convergence ladder's fixed schedule (ConvergenceOrchestrator).
+constexpr double kGminInitial = 1e-3;  ///< gmin ramp start [S]
+constexpr int kGminSteps = 10;         ///< nominal gmin ladder length: sets
+                                       ///< the ramp's first descent factor
+constexpr int kGminMaxRungs = 48;      ///< Newton solves the gmin ramp may
+                                       ///< spend (escalation + descent +
+                                       ///< backtracks)
+constexpr int kSourceSteps = 10;       ///< nominal source ladder length: sets
+                                       ///< the first scale increment
+constexpr int kSourceMaxRungs = 48;    ///< Newton solves of the source ramp
+constexpr double kPtcCFarad = 1e-6;    ///< pseudo-transient node capacitance
+constexpr double kPtcDtInitial = 1e-4; ///< first pseudo-step [s]
+constexpr double kPtcDtGrowth = 10.0;  ///< max pseudo-step growth per step
+constexpr int kPtcMaxSteps = 500;      ///< pseudo-step budget
+constexpr int kFailureReportNodes = 5; ///< worst nodes a SolveFailure lists
+
+/// Newton failures one transient step may retry at a smaller step before
+/// the escalation ladder takes it over.
+constexpr int kMaxStepHalvings = 12;
+
 /// The ladder's Newton step limit (see ConvergenceOrchestrator).  A circuit
 /// without a nonzero voltage source keeps opts.v_step_limit.
 double ladder_step_limit(const Circuit& ckt, const SolverOptions& opts,
@@ -361,8 +381,8 @@ void ConvergenceOrchestrator::merge_failure(SolveStage stage,
     }
     std::sort(ranked.begin(), ranked.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
-    if (static_cast<int>(ranked.size()) > opts_.failure_report_nodes) {
-      ranked.resize(opts_.failure_report_nodes);
+    if (static_cast<int>(ranked.size()) > kFailureReportNodes) {
+      ranked.resize(kFailureReportNodes);
     }
     if (!ranked.empty()) {
       report_.worst_nodes.clear();
@@ -377,7 +397,7 @@ void ConvergenceOrchestrator::merge_failure(SolveStage stage,
     for (int i = 0; i < n_nodes; ++i) {
       if (diag_.sign_flips[i] >= threshold) {
         osc.push_back(ckt_.node_name(i + 1));
-        if (static_cast<int>(osc.size()) >= opts_.failure_report_nodes) break;
+        if (static_cast<int>(osc.size()) >= kFailureReportNodes) break;
       }
     }
     if (!osc.empty()) report_.oscillating_nodes = std::move(osc);
@@ -391,11 +411,11 @@ bool ConvergenceOrchestrator::gmin_ramp(std::vector<double>& x,
   const std::vector<double> x0 = x;
   int rungs = 0;
 
-  // Phase 1: land anywhere on the ladder — start at gmin_initial and
+  // Phase 1: land anywhere on the ladder — start at kGminInitial and
   // escalate the shunt when even that fails.
-  double gmin = opts_.gmin_initial;
+  double gmin = kGminInitial;
   bool landed = false;
-  while (rungs < opts_.gmin_max_rungs && gmin <= 1e2) {
+  while (rungs < kGminMaxRungs && gmin <= 1e2) {
     ++rungs;
     x = x0;
     if (run_newton(x, proto, gmin, 1.0)) {
@@ -410,12 +430,11 @@ bool ConvergenceOrchestrator::gmin_ramp(std::vector<double>& x,
   // Phase 2: descend toward gmin_final with a multiplicative factor that
   // accelerates on success (fac^2) and backs off on failure (sqrt(fac))
   // instead of marching a fixed geometric ladder off a cliff.
-  double fac = std::pow(opts_.gmin_final / opts_.gmin_initial,
-                        1.0 / std::max(1, opts_.gmin_steps));
+  double fac = std::pow(opts_.gmin_final / kGminInitial, 1.0 / kGminSteps);
   fac = std::clamp(fac, 1e-6, 0.9);
   std::vector<double> x_good = x;
   while (gmin > opts_.gmin_final * (1.0 + 1e-9)) {
-    if (rungs >= opts_.gmin_max_rungs) break;
+    if (rungs >= kGminMaxRungs) break;
     const double next = std::max(gmin * fac, opts_.gmin_final);
     ++rungs;
     ++stats_.gmin_rungs;
@@ -447,9 +466,9 @@ bool ConvergenceOrchestrator::source_ramp(std::vector<double>& x,
   x.assign(n, 0.0);  // zero bias: the homotopy's natural start
   std::vector<double> x_good = x;
   double scale = 0.0;
-  double ds = 1.0 / std::max(1, opts_.source_steps);
+  double ds = 1.0 / kSourceSteps;
   int rungs = 0;
-  while (scale < 1.0 - 1e-12 && rungs < opts_.source_max_rungs) {
+  while (scale < 1.0 - 1e-12 && rungs < kSourceMaxRungs) {
     const double next = std::min(scale + ds, 1.0);
     ++rungs;
     x = x_good;
@@ -482,18 +501,18 @@ bool ConvergenceOrchestrator::pseudo_transient(std::vector<double>& x,
   pcfg.abstol = opts_.v_abstol;
   pcfg.safety = 1.0;
   pcfg.trtol = 1.0;
-  pcfg.growth_limit = std::max(opts_.ptc_dt_growth, 1.5);
+  pcfg.growth_limit = kPtcDtGrowth;
   pcfg.shrink_limit = 0.1;
-  pcfg.dt_min = opts_.ptc_dt_initial * 1e-9;
-  pcfg.dt_max = opts_.ptc_dt_initial * 1e15;
-  LteController ctl(pcfg);
+  pcfg.dt_min = kPtcDtInitial * 1e-9;
+  pcfg.dt_max = kPtcDtInitial * 1e15;
+  const LteController ctl(pcfg);
 
-  double dt = opts_.ptc_dt_initial;
+  double dt = kPtcDtInitial;
   double verify_gate = 1.0;
   int structural_verify_failures = 0;
 
-  for (int step = 0; step < opts_.ptc_max_steps; ++step) {
-    const double geq = opts_.ptc_c_farad / dt;
+  for (int step = 0; step < kPtcMaxSteps; ++step) {
+    const double geq = kPtcCFarad / dt;
     x = x_prev;
     if (!run_newton(x, proto, opts_.gmin_final, 1.0, geq, &x_prev)) {
       ++stats_.ptc_rejections;
@@ -654,6 +673,12 @@ phys::DataTable dc_sweep(Circuit& ckt, VSource& swept,
   // sweeps (deck sessions).
   NewtonWorkspace local;
   NewtonWorkspace& work = ws ? *ws : local;
+  // The swept source gets its own waveform back, even when a point throws.
+  struct WaveGuard {
+    VSource& src;
+    WaveformPtr prev;
+    ~WaveGuard() { src.set_wave(std::move(prev)); }
+  } guard{swept, swept.wave_ptr()};
   std::vector<double> warm;
   for (double v : values) {
     swept.set_wave(dc(v));
@@ -863,8 +888,7 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
                    ? opts.dt_min
                    : std::max(opts.t_stop * 1e-12, opts.dt * 1e-6);
   cfg.dt_min = std::min(cfg.dt_min, cfg.dt_max);
-  cfg.pi = opts.lte_pi;
-  LteController ctl(cfg);
+  const LteController ctl(cfg);
   PredictorHistory hist;
 
   // Fixed grid: no source corners to land on.
@@ -913,11 +937,9 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
       ++st.steps_rejected_newton;
       ++consecutive_failures;
       // Fixed grid: halve the step, with no dt_min floor.
-      if (consecutive_failures <= opts.max_step_halvings &&
+      if (consecutive_failures <= kMaxStepHalvings &&
           (fixed || h > cfg.dt_min * (1.0 + 1e-12))) {
         dt = fixed ? 0.5 * h : std::max(0.25 * h, cfg.dt_min);
-        ctl.reset_history();  // the stored PI error belongs to the failed
-                              // step
         continue;
       }
       // Step-size control exhausted (at the dt_min floor, or out of
@@ -945,7 +967,7 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
       const double ratio =
           lte_error_ratio(x_try, x_pred, ckt.num_nodes(), factor, cfg);
       const LteController::Decision dec =
-          ctl.step(h, ratio, use_trap && pred_order >= 2 ? 3 : 2);
+          ctl.decide(h, ratio, use_trap && pred_order >= 2 ? 3 : 2);
       if (!dec.accept) {
         if (tr) tr->instant("lte-reject", obs::now_ns());
         ++st.steps_rejected_lte;
@@ -967,7 +989,6 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
     rec.accepted(t, x, t_new, x_try);
     if (recovered) {
       hist.reset();
-      ctl.reset_history();
       rec.discontinuity();
       dt = std::clamp(h, cfg.dt_min, cfg.dt_max);
     } else {
@@ -986,7 +1007,6 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
       if (tr) tr->instant("breakpoint", obs::now_ns());
       ++st.breakpoints_hit;
       hist.reset();
-      ctl.reset_history();
       rec.discontinuity();
       dt = std::clamp(0.1 * opts.dt, cfg.dt_min, cfg.dt_max);
     }

@@ -35,25 +35,12 @@ struct SolverOptions {
   double v_step_limit = 0.4;   ///< max node-voltage change per NR step [V]
                                ///< (the escalation ladder caps it at
                                ///< half the largest source voltage)
-  double gmin_initial = 1e-3;  ///< gmin stepping start [S]
   double gmin_final = 1e-12;   ///< residual gmin kept in the Jacobian [S]
-  int gmin_steps = 10;         ///< nominal gmin ladder length (sets the
-                               ///< initial descent factor of the ramp)
-  int source_steps = 10;       ///< nominal source-stepping ladder length
-                               ///< (sets the initial scale increment)
 
-  // --- escalation-ladder knobs (ConvergenceOrchestrator) ---
+  // --- escalation-ladder stages (ConvergenceOrchestrator) ---
   bool allow_gmin_stepping = true;    ///< stage 2 of the ladder
   bool allow_source_stepping = true;  ///< stage 3
   bool allow_pseudo_transient = true; ///< stage 4 (fallback of last resort)
-  int gmin_max_rungs = 48;     ///< total Newton solves the gmin ramp may
-                               ///< spend (escalation + descent + backtracks)
-  int source_max_rungs = 48;   ///< total solves of the source ramp
-  double ptc_c_farad = 1e-6;   ///< pseudo-transient node capacitance [F]
-  double ptc_dt_initial = 1e-4;///< first pseudo-step [s of pseudo-time]
-  double ptc_dt_growth = 10.0; ///< max pseudo-step growth per accepted step
-  int ptc_max_steps = 500;     ///< pseudo-step budget before giving up
-  int failure_report_nodes = 5;///< worst nodes listed in a SolveFailure
 
   /// Optional cooperative stop signal, polled at every Newton iteration
   /// and every transient step.  When it fires (explicit cancel() or an
@@ -372,7 +359,8 @@ double vsource_current(const Circuit& ckt, const Solution& sol,
                        const VSource& src);
 
 /// Sweep a voltage source and record node voltages.
-/// Columns: sweep value, then one column per probe node.
+/// Columns: sweep value, then one column per probe node.  The swept
+/// source's waveform is restored when the sweep returns or throws.
 /// @param ws  optional caller-owned workspace (see operating_point); a
 ///            session running many sweeps on one topology passes the same
 ///            one so the pattern/symbolic work is done once, not per sweep.
@@ -409,25 +397,19 @@ enum class TransientIc {
 ///    do not apply), Newton warm-starts from the last solution without a
 ///    predictor, no source corner is landed on, and a Newton failure halves
 ///    the step.
+/// A step may retry a Newton failure at a smaller step up to 12 times (the
+/// fixed grid halves it with no dt_min floor, the adaptive grid quarters it
+/// down to dt_min) before the escalation ladder takes it over.
 /// Both policies end with a step landing exactly on t_stop and restart the
 /// integrator with a BE step after a ladder recovery.
 struct TransientOptions {
   double t_stop = 1e-9;
   double dt = 1e-12;         ///< fixed: the grid; adaptive: initial step
   bool trapezoidal = true;   ///< trapezoidal after a BE start-up step
-  /// Newton failures one step may retry at a smaller step before the
-  /// escalation ladder takes it over: the fixed grid halves the step each
-  /// time (no dt_min floor), the adaptive grid quarters it down to dt_min.
-  int max_step_halvings = 12;
 
   bool adaptive = false;
   double lte_reltol = 1e-3;  ///< relative LTE tolerance per node (> 0)
   double lte_abstol = 1e-6;  ///< absolute LTE tolerance [V] (> 0)
-  /// PI (Gustafsson) step control instead of the deadbeat growth rule:
-  /// damps step growth while the LTE is rising, cutting the rejection
-  /// thrash on fast waveforms (see LteControlConfig::pi).  Off by default
-  /// to keep the seeded controller behaviour bit-stable.
-  bool lte_pi = false;
   double dt_min = 0.0;       ///< 0 = auto: max(t_stop * 1e-12, dt * 1e-6)
   double dt_max = 0.0;       ///< 0 = auto: t_stop / 50
 

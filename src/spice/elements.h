@@ -286,6 +286,7 @@ class VSource final : public Element {
   void stamp(const StampContext& ctx) const override;
   void stamp_ac(const AcStampContext& ctx) const override;
   const Waveform& wave() const { return *wave_; }
+  const WaveformPtr& wave_ptr() const { return wave_; }
   /// Replace the waveform (used by DC sweeps).
   void set_wave(WaveformPtr wave) { wave_ = std::move(wave); }
   /// AC stimulus amplitude of this source (default 0; the ac_sweep driver

@@ -15,8 +15,6 @@ LteController::LteController(const LteControlConfig& cfg) : cfg_(cfg) {
                  "bad step growth/shrink limits");
   CARBON_REQUIRE(cfg.dt_min > 0.0 && cfg.dt_max >= cfg.dt_min,
                  "bad dt_min/dt_max");
-  CARBON_REQUIRE(!cfg.pi || (cfg.pi_ki > 0.0 && cfg.pi_kp >= 0.0),
-                 "bad PI controller exponents");
 }
 
 LteController::Decision LteController::decide(double dt, double err_ratio,
@@ -37,46 +35,6 @@ LteController::Decision LteController::decide(double dt, double err_ratio,
   }
   d.dt_next = std::clamp(d.dt_next, cfg_.dt_min, cfg_.dt_max);
   return d;
-}
-
-LteController::Decision LteController::step(double dt, double err_ratio,
-                                            int error_order) {
-  if (!cfg_.pi) return decide(dt, err_ratio, error_order);
-  CARBON_REQUIRE(error_order == 2 || error_order == 3,
-                 "corrector error order must be 2 (BE) or 3 (trap)");
-  const double r = std::max(err_ratio, 1e-10);
-
-  Decision d;
-  if (err_ratio <= 1.0 || dt <= cfg_.dt_min * (1.0 + 1e-12)) {
-    d.accept = true;
-    double factor;
-    if (prev_ratio_ > 0.0) {
-      // Gustafsson PI: the (r_prev / r) term damps growth while the error
-      // is rising, so the step approaches the tolerance instead of being
-      // thrown past it and rejected.
-      factor = cfg_.safety * std::pow(r, -cfg_.pi_ki / error_order) *
-               std::pow(prev_ratio_ / r, cfg_.pi_kp / error_order);
-    } else {
-      factor = cfg_.safety * std::pow(r, -1.0 / error_order);
-    }
-    if (just_rejected_) factor = std::min(factor, 1.0);  // no instant regrow
-    d.dt_next = dt * std::min(factor, cfg_.growth_limit);
-    prev_ratio_ = r;
-    just_rejected_ = false;
-  } else {
-    d.accept = false;
-    // Same shrink policy as the deadbeat rule: retry strictly smaller.
-    const double ideal = cfg_.safety * std::pow(r, -1.0 / error_order);
-    d.dt_next = dt * std::clamp(ideal, cfg_.shrink_limit, 0.9);
-    just_rejected_ = true;
-  }
-  d.dt_next = std::clamp(d.dt_next, cfg_.dt_min, cfg_.dt_max);
-  return d;
-}
-
-void LteController::reset_history() {
-  prev_ratio_ = -1.0;
-  just_rejected_ = false;
 }
 
 void PredictorHistory::reset() {

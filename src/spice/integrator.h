@@ -37,25 +37,10 @@ struct LteControlConfig {
   double dt_min = 0.0;        ///< smallest step; a step at the floor is
                               ///< always accepted (progress guarantee)
   double dt_max = 0.0;        ///< largest step (waveform sampling bound)
-
-  /// PI (proportional–integral, Gustafsson-style) step control.  The
-  /// classic deadbeat rule grows every in-tolerance step by
-  /// safety * r^(-1/order), which on fast waveforms walks the step
-  /// straight past the tolerance and rejects (~18% of ring-oscillator
-  /// steps): the controller has no memory of the error *trend*.  With pi
-  /// enabled, step() adds a proportional term against the previous
-  /// accepted step's error ratio,
-  ///   dt_next = dt * safety * r^(-ki/order) * (r_prev/r)^(kp/order),
-  /// damping growth while the error is rising and capping regrowth right
-  /// after a rejection.  decide() stays the stateless deadbeat rule.
-  bool pi = false;
-  double pi_ki = 0.4;  ///< integral exponent numerator
-  double pi_kp = 0.6;  ///< proportional exponent numerator
 };
 
-/// Accept/reject + next-step policy from a scalar error ratio.  One
-/// instance serves a whole transient run; only the PI path (step()) keeps
-/// state between calls.
+/// Accept/reject + next-step policy from a scalar error ratio: the
+/// stateless deadbeat rule, one instance per transient run.
 class LteController {
  public:
   explicit LteController(const LteControlConfig& cfg);
@@ -72,23 +57,10 @@ class LteController {
   /// accepted so the engine cannot stall.  Stateless deadbeat rule.
   Decision decide(double dt, double err_ratio, int error_order) const;
 
-  /// The decision the transient engine calls: with config().pi, applies
-  /// the PI growth law against the previous accepted step's error ratio
-  /// (first step after reset_history() falls back to decide()); without
-  /// it, exactly decide().  Call reset_history() wherever the integrator
-  /// restarts (breakpoints, Newton failures) — the stored error belongs
-  /// to the abandoned trajectory.
-  Decision step(double dt, double err_ratio, int error_order);
-
-  /// Forget the PI error history.
-  void reset_history();
-
   const LteControlConfig& config() const { return cfg_; }
 
  private:
   LteControlConfig cfg_;
-  double prev_ratio_ = -1.0;    ///< error ratio of the last accepted step
-  bool just_rejected_ = false;  ///< cap regrowth on the next accept
 };
 
 /// Ring of the last two accepted solutions, feeding the explicit predictor

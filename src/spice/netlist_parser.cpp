@@ -381,15 +381,6 @@ std::vector<std::pair<std::string, std::string>> parse_options(
   return out;
 }
 
-const std::string* find_option(
-    const std::vector<std::pair<std::string, std::string>>& options,
-    const std::string& key) {
-  for (const auto& [k, v] : options) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
 std::uint64_t fnv1a64(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
   for (unsigned char c : s) {
@@ -507,9 +498,6 @@ class Flattener {
   void expand(const std::vector<RawCard>& cards, const std::string& prefix,
               const std::map<std::string, std::string>& node_map, int scope,
               int depth) {
-    if (depth > 50) {
-      throw ParseError("subcircuit nesting deeper than 50 (recursive x?)");
-    }
     for (const RawCard& card : cards) {
       const std::string name = lower(card.tokens[0]);
       if (name[0] == 'x') {
@@ -591,6 +579,10 @@ class Flattener {
     const int child_scope = static_cast<int>(deck_.scopes.size()) - 1;
 
     // Port binding + recursion with the extended instance path.
+    if (depth >= 50) {
+      fail(card.line_no, card.text,
+           "subcircuit nesting deeper than 50 (recursive x?)");
+    }
     const std::string inst = prefix + lower(tokens[0]) + ".";
     std::map<std::string, std::string> child_map;
     for (size_t p = 0; p < def.ports.size(); ++p) {
@@ -817,32 +809,6 @@ ModelCard parse_model_card(const RawCard& card) {
 
 // --- parameter-environment resolution --------------------------------------
 
-/// Evaluate every scope's parameters.  @p overrides replaces global
-/// (scope-0) parameter values by name — the .step mechanism — and may also
-/// introduce names no .param card declared.
-std::vector<ParamEnv> resolve_scopes(const Deck& deck,
-                                     const ParamEnv& overrides) {
-  std::vector<ParamEnv> envs(deck.scopes.size());
-  for (size_t s = 0; s < deck.scopes.size(); ++s) {
-    const ParamScope& sc = deck.scopes[s];
-    ParamEnv env = sc.parent >= 0 ? envs[sc.parent] : ParamEnv{};
-    for (const ParamSpec& p : sc.params) {
-      try {
-        const auto ov = s == 0 ? overrides.find(p.name) : overrides.end();
-        env[p.name] =
-            ov != overrides.end() ? ov->second : eval_expr(p.expr, env);
-      } catch (const ParseError& e) {
-        fail(p.line_no, p.line, e.reason());
-      }
-    }
-    if (s == 0) {
-      for (const auto& [k, v] : overrides) env.emplace(k, v);
-    }
-    envs[s] = std::move(env);
-  }
-  return envs;
-}
-
 double eval_card_value(const std::string& expr, const ParamEnv& env,
                        int line_no, const std::string& line) {
   try {
@@ -850,6 +816,21 @@ double eval_card_value(const std::string& expr, const ParamEnv& env,
   } catch (const ParseError& e) {
     fail(line_no, line, e.reason());
   }
+}
+
+/// Evaluate every scope's parameters: the globals (global_params), then
+/// each subcircuit instance's scope inside its parent's.
+std::vector<ParamEnv> resolve_scopes(const Deck& deck,
+                                     const ParamEnv& overrides) {
+  std::vector<ParamEnv> envs{global_params(deck, overrides)};
+  for (std::size_t s = 1; s < deck.scopes.size(); ++s) {
+    ParamEnv env = envs[deck.scopes[s].parent];
+    for (const ParamSpec& p : deck.scopes[s].params) {
+      env[p.name] = eval_card_value(p.expr, env, p.line_no, p.line);
+    }
+    envs.push_back(std::move(env));
+  }
+  return envs;
 }
 
 // --- device model construction ---------------------------------------------
@@ -974,12 +955,15 @@ device::DeviceModelPtr resolve_model(
 
 // --- waveform construction --------------------------------------------------
 
-WaveformPtr build_wave(const ElementCard& card, const ParamEnv& env,
+/// The waveform and AC magnitude of a v/i card, every value taken through
+/// @p finite (value token, what it is) -> its finite value.
+template <typename Finite>
+WaveformPtr build_wave(const ElementCard& card, const Finite& finite,
                        double* ac_mag) {
   *ac_mag = 0.0;
   WaveformPtr wave;
   auto value = [&](const std::string& tok) {
-    return eval_card_value(tok, env, card.line_no, card.line);
+    return finite(tok, "source value");
   };
   for (size_t i = 0; i < card.values.size(); ++i) {
     const std::string& tok = card.values[i];
@@ -1026,7 +1010,7 @@ WaveformPtr build_wave(const ElementCard& card, const ParamEnv& env,
       if (++i >= card.values.size()) {
         fail(card.line_no, card.line, "missing AC magnitude");
       }
-      *ac_mag = value(card.values[i]);
+      *ac_mag = finite(card.values[i], "ac magnitude");
       continue;
     }
     wave = dc(value(tok));
@@ -1041,10 +1025,31 @@ WaveformPtr build_wave(const ElementCard& card, const ParamEnv& env,
 // Public API
 // ---------------------------------------------------------------------------
 
+const std::string* find_option(
+    const std::vector<std::pair<std::string, std::string>>& options,
+    const std::string& key) {
+  for (const auto& [k, v] : options) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
+ParamEnv global_params(const Deck& deck, const ParamEnv& overrides) {
+  ParamEnv env;
+  for (const ParamSpec& p : deck.scopes.front().params) {
+    const auto ov = overrides.find(p.name);
+    env[p.name] = ov != overrides.end()
+                      ? ov->second
+                      : eval_card_value(p.expr, env, p.line_no, p.line);
+  }
+  for (const auto& [k, v] : overrides) env.emplace(k, v);
+  return env;
+}
+
 std::vector<ParamEnv> expand_steps(const Deck& deck) {
   if (deck.steps.empty()) return {ParamEnv{}};
   // Grid values may be expressions over the (un-stepped) globals.
-  const ParamEnv base = resolve_scopes(deck, {}).front();
+  const ParamEnv base = global_params(deck, {});
   std::vector<std::vector<double>> grids;
   for (const StepSpec& s : deck.steps) {
     std::vector<double> g;
@@ -1092,6 +1097,14 @@ CardValues eval_card(const Deck& deck, const ModelRegistry& base,
   // The one range check of element values: instantiate() and retune()
   // both take their values from here, so a cached topology refuses what a
   // fresh one does.  The element constructors' checks stay as invariants.
+  // A NaN or an infinity would only fail at the ladder's last stage.
+  auto finite = [&](const std::string& tok, const char* what) {
+    const double v = value(tok);
+    if (!std::isfinite(v)) {
+      fail(card.line_no, card.line, std::string(what) + " must be finite");
+    }
+    return v;
+  };
   auto positive = [&](const std::string& tok, const char* what) {
     const double v = value(tok);
     if (!(std::isfinite(v) && v > 0.0)) {
@@ -1108,12 +1121,12 @@ CardValues eval_card(const Deck& deck, const ModelRegistry& base,
     case 'c':
       out.farad = positive(card.values[0], "capacitance");
       if (const auto* ic = find_option(card.options, "ic")) {
-        out.v_init = value(*ic);
+        out.v_init = finite(*ic, "initial condition ic");
       }
       break;
     case 'v':
     case 'i':
-      out.wave = build_wave(card, env, &out.ac_mag);
+      out.wave = build_wave(card, finite, &out.ac_mag);
       break;
     case 'd':
       if (const auto* is = find_option(card.options, "is")) {
@@ -1138,9 +1151,12 @@ CardValues eval_card(const Deck& deck, const ModelRegistry& base,
   return out;
 }
 
-std::unique_ptr<Circuit> instantiate_impl(
-    const Deck& deck, const ModelRegistry& models, const ParamEnv& overrides,
-    std::map<std::string, device::DeviceModelPtr>* memo) {
+}  // namespace
+
+std::unique_ptr<Circuit> instantiate(const Deck& deck,
+                                     const ModelRegistry& models,
+                                     const ParamEnv& overrides,
+                                     ModelMemo* memo) {
   const std::vector<ParamEnv> envs = resolve_scopes(deck, overrides);
   auto ckt = std::make_unique<Circuit>();
   for (const ElementCard& card : deck.elements) {
@@ -1175,15 +1191,6 @@ std::unique_ptr<Circuit> instantiate_impl(
     }
   }
   return ckt;
-}
-
-}  // namespace
-
-std::unique_ptr<Circuit> instantiate(const Deck& deck,
-                                     const ModelRegistry& models,
-                                     const ParamEnv& overrides,
-                                     ModelMemo* memo) {
-  return instantiate_impl(deck, models, overrides, memo);
 }
 
 void retune(const Deck& deck, const ModelRegistry& models,
@@ -1349,11 +1356,8 @@ Deck parse_deck(const std::string& text, const ModelRegistry& /*models*/) {
           fail(card.line_no, card.text,
                ".probe wants v(<node>) / i(<vsource>) entries");
         }
-        if (kind == "v") {
-          deck.probe_nodes.push_back({name, card.line_no, card.text});
-        } else {
-          deck.probe_currents.push_back(name);
-        }
+        auto& probes = kind == "v" ? deck.probe_nodes : deck.probe_currents;
+        probes.push_back({name, card.line_no, card.text});
       }
       continue;
     }

@@ -190,9 +190,10 @@ struct StepSpec {
   std::string line;
 };
 
-/// One `.probe v(<node>)` selection and the card that made it.
-struct ProbeNode {
-  std::string node;
+/// One `.probe v(<node>)` or `.probe i(<vsource>)` selection and the card
+/// that made it.
+struct ProbeRef {
+  std::string name;  ///< the node (v) or voltage source (i), lowercase
   int line_no = 0;
   std::string line;
 };
@@ -212,8 +213,8 @@ struct Deck {
   std::vector<StepSpec> steps;
 
   /// `.probe v(a) i(v1)` selections; empty + !probe_none = every node.
-  std::vector<ProbeNode> probe_nodes;
-  std::vector<std::string> probe_currents;
+  std::vector<ProbeRef> probe_nodes;
+  std::vector<ProbeRef> probe_currents;
   bool probe_none = false;  ///< `.probe none`: measures only, no tables
 
   std::vector<std::pair<std::string, std::string>> options;  ///< .options
@@ -236,6 +237,18 @@ Deck parse_deck(const std::string& text, const ModelRegistry& models = {});
 /// stepped parameters, so globals that depend on them re-resolve per step
 /// when passed to instantiate()/retune() as overrides.
 std::vector<ParamEnv> expand_steps(const Deck& deck);
+
+/// The global parameter environment of one step point: scope 0's .param
+/// cards evaluated in order, each name in @p overrides taking the
+/// override's value, plus the override names no .param card declares.
+/// Analysis, measure and .step values are evaluated in it.  Throws
+/// ParseError naming the .param card whose value does not evaluate.
+ParamEnv global_params(const Deck& deck, const ParamEnv& overrides);
+
+/// The expression of option @p key on a card; nullptr when absent.
+const std::string* find_option(
+    const std::vector<std::pair<std::string, std::string>>& options,
+    const std::string& key);
 
 /// Memo of built deck-local models keyed on (name, evaluated options):
 /// a session passes one so a .step sweep rebuilds a (possibly expensive)

@@ -26,15 +26,6 @@ std::string lower(std::string s) {
   return s;
 }
 
-const std::string* find_opt(
-    const std::vector<std::pair<std::string, std::string>>& options,
-    const std::string& key) {
-  for (const auto& [k, v] : options) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
 /// "v(out)" / "i(vdd)" / bare token -> (is_current, name).  Bare tokens
 /// count as node voltages (and as literal column names for noise tables).
 struct Signal {
@@ -82,71 +73,19 @@ core::Json table_json(const phys::DataTable& table, int max_rows) {
   return out;
 }
 
-/// Deck-level .options -> solver configuration.  Strict: a typo'd key is
-/// an error, not a silently ignored knob.
-struct DeckConfig {
-  SolverOptions solver;
-  double temperature_k = 300.0;
-};
-
-DeckConfig config_from(const Deck& deck) {
-  DeckConfig cfg;
-  for (const auto& [k, v] : deck.options) {
-    if (k == "reltol") {
-      cfg.solver.reltol = parse_spice_number(v);
-    } else if (k == "abstol" || k == "vabstol") {
-      cfg.solver.v_abstol = parse_spice_number(v);
-    } else if (k == "maxiter") {
-      cfg.solver.max_iterations = static_cast<int>(parse_spice_number(v));
-    } else if (k == "gmin") {
-      cfg.solver.gmin_final = parse_spice_number(v);
-    } else if (k == "temp") {
-      cfg.temperature_k = parse_spice_number(v);
-    } else {
-      throw ParseError("unknown .options key '" + k + "'");
-    }
-  }
-  return cfg;
-}
-
-/// Deck errors no solve should be left to find: a circuit with no node to
-/// solve for, and a .probe or .noise output naming a node the circuit
-/// lacks.
-void check_circuit(const Deck& deck, const Circuit& ckt) {
-  if (ckt.num_nodes() == 0) {
-    throw ParseError("deck has no circuit node to solve for");
-  }
-  for (const ProbeNode& p : deck.probe_nodes) {
-    if (!ckt.has_node(p.node)) {
-      throw ParseError(".probe names unknown node '" + p.node + "'",
-                       p.line_no, p.line);
-    }
-  }
-  for (const AnalysisCard& card : deck.analyses) {
-    if (card.kind == AnalysisCard::Kind::kNoise &&
-        (!ckt.has_node(card.output) || ckt.find_node(card.output) == 0)) {
-      throw ParseError(".noise output must be a non-ground circuit node",
-                       card.line_no, card.line);
-    }
-  }
-}
-
-/// Everything one step point's analyses record, for the measure pass.
-struct StepResults {
-  bool have_op = false;
-  Solution op;
-  std::map<std::string, phys::DataTable> tables;  ///< by analysis kind name
-};
+/// Each analysis kind's name and tracer span, in AnalysisCard::Kind order.
+/// Span names must be string literals: the tracer stores the pointer.
+constexpr struct {
+  const char* name;
+  const char* span;
+} kKinds[] = {{"op", "analysis:op"},
+              {"dc", "analysis:dc"},
+              {"tran", "analysis:tran"},
+              {"ac", "analysis:ac"},
+              {"noise", "analysis:noise"}};
 
 const char* analysis_kind_name(AnalysisCard::Kind kind) {
-  switch (kind) {
-    case AnalysisCard::Kind::kOp: return "op";
-    case AnalysisCard::Kind::kDc: return "dc";
-    case AnalysisCard::Kind::kTran: return "tran";
-    case AnalysisCard::Kind::kAc: return "ac";
-    case AnalysisCard::Kind::kNoise: return "noise";
-  }
-  return "?";
+  return kKinds[static_cast<int>(kind)].name;
 }
 
 /// Abscissa column of each analysis table.
@@ -165,15 +104,161 @@ std::string column_for(const std::string& analysis, const Signal& sig) {
   return (sig.current ? "i(" : "v(") + sig.name + ")";
 }
 
-/// One step point's full execution: retune, run analyses, measures.
+/// One analysis card resolved against the cached circuit.
+struct PlannedAnalysis {
+  const AnalysisCard* card = nullptr;
+  VSource* source = nullptr;  ///< the .dc swept source, the .noise input
+  std::vector<std::string> probes;       ///< node voltage columns
+  std::vector<const VSource*> currents;  ///< source current columns
+};
+
+/// A deck compiled against its cached circuit once per run, before any
+/// solve: the .options, the circuit checks, and each analysis card's
+/// source and probe columns, resolved by one pass over the elements.
+/// Values belong to step points; StepRunner evaluates them.
+struct DeckPlan {
+  /// Throws ParseError, naming the card where there is one, for what no
+  /// solve should be left to find: a circuit with no node, a .probe or
+  /// .noise output naming a node the circuit lacks, an unknown .options
+  /// key (strict: a typo'd key is an error, not an ignored knob), a
+  /// `.probe i()`, .dc or .noise source that is no voltage source, a
+  /// malformed measure signal.
+  DeckPlan(const Deck& deck, Circuit& ckt, bool tables) : deck_(deck) {
+    if (ckt.num_nodes() == 0) {
+      throw ParseError("deck has no circuit node to solve for");
+    }
+    for (const ProbeRef& p : deck.probe_nodes) {
+      if (!ckt.has_node(p.name)) {
+        throw ParseError(".probe names unknown node '" + p.name + "'",
+                         p.line_no, p.line);
+      }
+    }
+    for (const AnalysisCard& card : deck.analyses) {
+      if (card.kind == AnalysisCard::Kind::kNoise &&
+          (!ckt.has_node(card.output) || ckt.find_node(card.output) == 0)) {
+        throw ParseError(".noise output must be a non-ground circuit node",
+                         card.line_no, card.line);
+      }
+    }
+    for (const auto& [k, v] : deck.options) {
+      if (k == "reltol") {
+        solver.reltol = parse_spice_number(v);
+      } else if (k == "abstol" || k == "vabstol") {
+        solver.v_abstol = parse_spice_number(v);
+      } else if (k == "maxiter") {
+        solver.max_iterations = static_cast<int>(parse_spice_number(v));
+      } else if (k == "gmin") {
+        solver.gmin_final = parse_spice_number(v);
+      } else if (k == "temp") {
+        temperature_k = parse_spice_number(v);
+      } else {
+        throw ParseError("unknown .options key '" + k + "'");
+      }
+    }
+    // The circuit was built from the deck's card list, element for card.
+    for (std::size_t i = 0; i < deck.elements.size(); ++i) {
+      if (deck.elements[i].kind == 'v') {
+        vsources.emplace(deck.elements[i].name,
+                         static_cast<VSource*>(ckt.elements()[i].get()));
+      }
+    }
+    for (const ProbeRef& p : deck.probe_currents) {
+      vsource(p.name, p.line_no, p.line);
+    }
+    using Kind = AnalysisCard::Kind;
+    for (const AnalysisCard& card : deck.analyses) {
+      PlannedAnalysis& a = analyses.emplace_back();
+      a.card = &card;
+      if (card.kind == Kind::kDc || card.kind == Kind::kNoise) {
+        a.source = vsource(card.source, card.line_no, card.line);
+      }
+      // .op records columns only into a table it emits; .noise has fixed
+      // columns.
+      if (card.kind != Kind::kNoise && (card.kind != Kind::kOp || tables)) {
+        add_probes(ckt, a);
+      }
+    }
+  }
+
+  /// The voltage source @p name; ParseError at the given card otherwise.
+  VSource* vsource(const std::string& name, int line_no,
+                   const std::string& line) const {
+    const auto it = vsources.find(name);
+    if (it != vsources.end()) return it->second;
+    const bool other = std::any_of(
+        deck_.elements.begin(), deck_.elements.end(),
+        [&](const ElementCard& card) { return card.name == name; });
+    throw ParseError(other ? "'" + name + "' is not a voltage source"
+                           : "unknown voltage source '" + name + "'",
+                     line_no, line);
+  }
+
+  SolverOptions solver;
+  double temperature_k = 300.0;
+  std::map<std::string, VSource*> vsources;  ///< every voltage source
+  std::vector<PlannedAnalysis> analyses;     ///< in card order
+
+ private:
+  /// The probe columns of an analysis: the .probe selections (every node
+  /// when there are none, nothing under `.probe none`) plus every node and
+  /// voltage source a measure of the analysis reads — measures must never
+  /// fail because nobody probed their signal.  A signal naming no node or
+  /// source is left to its own measure to report (null + measure_errors).
+  void add_probes(const Circuit& ckt, PlannedAnalysis& a) const {
+    const std::string kind = analysis_kind_name(a.card->kind);
+    std::vector<std::string> currents;
+    if (!deck_.probe_none) {
+      for (const ProbeRef& p : deck_.probe_nodes) push_unique(a.probes, p.name);
+      if (deck_.probe_nodes.empty()) {
+        for (int id = 1; id <= ckt.num_nodes(); ++id) {
+          push_unique(a.probes, ckt.node_name(id));
+        }
+      }
+      for (const ProbeRef& p : deck_.probe_currents) {
+        push_unique(currents, p.name);
+      }
+    }
+    for (const MeasureCard& m : deck_.measures) {
+      if (m.analysis != kind) continue;
+      for (const std::string& s : m.signals) {
+        const Signal sig = parse_signal(s, m.line_no, m.line);
+        if (!sig.current && ckt.has_node(sig.name)) {
+          push_unique(a.probes, sig.name);
+        } else if (sig.current && vsources.count(sig.name)) {
+          push_unique(currents, sig.name);
+        }
+      }
+    }
+    // Sweeps need at least one probe column.
+    if (a.probes.empty()) a.probes.push_back(ckt.node_name(1));
+    for (const std::string& name : currents) {
+      a.currents.push_back(vsources.at(name));
+    }
+  }
+
+  const Deck& deck_;
+};
+
+/// One analysis card's values at one step point: the .dc grid, the .tran
+/// options, or the .ac/.noise sweep options and the AC input.
+struct AnalysisValues {
+  std::vector<double> sweep;
+  TransientOptions tran;
+  AcOptions ac;
+  VSource* ac_input = nullptr;
+  NoiseOptions noise;
+};
+
+/// One step point's full execution: retune, evaluate every analysis card,
+/// run the analyses, then the measures.
 class StepRunner {
  public:
-  StepRunner(const Deck& deck, const DeckConfig& cfg, Circuit& ckt,
+  StepRunner(const Deck& deck, const DeckPlan& plan, Circuit& ckt,
              NewtonWorkspace& ws, AcSystem& ac, const ModelRegistry& registry,
              ModelMemo& memo, const ParamEnv& overrides,
              const SessionOptions& session_opts)
       : deck_(deck),
-        cfg_(cfg),
+        plan_(plan),
         ckt_(ckt),
         ws_(ws),
         ac_(ac),
@@ -183,18 +268,6 @@ class StepRunner {
         session_opts_(session_opts) {}
 
   core::Json run() {
-    // A sweep grid or time span that cannot be marched fails the deck
-    // before any solve.
-    for (const AnalysisCard& card : deck_.analyses) {
-      if (card.kind == AnalysisCard::Kind::kDc) read_dc_values(card);
-      if (card.kind == AnalysisCard::Kind::kTran) read_tran_options(card);
-      if (card.kind == AnalysisCard::Kind::kAc ||
-          card.kind == AnalysisCard::Kind::kNoise) {
-        AcOptions grid;
-        read_frequency_grid(card, grid);
-      }
-    }
-
     auto step = core::Json::object();
     if (!overrides_.empty()) {
       auto params = core::Json::object();
@@ -202,18 +275,24 @@ class StepRunner {
       step.set("params", std::move(params));
     }
 
+    // The analyses leave the circuit as they found it, so one retune
+    // serves every analysis of the point.
     retune(deck_, registry_, overrides_, ckt_, &memo_);
+    genv_ = global_params(deck_, overrides_);
+    // A sweep grid or time span that cannot be marched fails the deck
+    // before the point's first solve.
+    std::vector<AnalysisValues> values;
+    for (const PlannedAnalysis& a : plan_.analyses) {
+      values.push_back(evaluate(*a.card));
+    }
     ws_.prepare(ckt_);
     // Element *values* may have changed under the unchanged topology; the
     // static Jacobian baseline follows them, the pattern does not.
     ws_.mna.refresh_baseline();
 
     auto analyses = core::Json::array();
-    for (const AnalysisCard& card : deck_.analyses) {
-      // Restore source waveforms a previous analysis left mid-sweep
-      // (dc_sweep parks the swept source at its last value).
-      retune(deck_, registry_, overrides_, ckt_, &memo_);
-      analyses.push(run_analysis(card));
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      analyses.push(run_analysis(plan_.analyses[i], values[i]));
     }
     step.set("analyses", std::move(analyses));
 
@@ -243,22 +322,40 @@ class StepRunner {
     return session_opts_.emit_tables && !deck_.probe_none;
   }
 
+  const SolverOptions& solver() const { return plan_.solver; }
+
   double eval_in_env(const std::string& expr, int line_no,
                      const std::string& line) const {
     try {
-      return eval_expr(expr, genv());
+      return eval_expr(expr, genv_);
     } catch (const ParseError& e) {
       throw ParseError(e.reason(), line_no, line);
     }
   }
 
-  /// Evaluate the .ac/.noise grid of @p card into @p opt (AcOptions or
-  /// NoiseOptions).  Rejects what log_frequency_grid cannot march: a
-  /// non-positive start, a stop not above the start, and fewer than 1 or
-  /// more than 1e6 points per decade (the cap keeps the point count of any
-  /// finite range representable).
+  AnalysisValues evaluate(const AnalysisCard& card) const {
+    using Kind = AnalysisCard::Kind;
+    AnalysisValues v;
+    if (card.kind == Kind::kDc) v.sweep = read_dc_values(card);
+    if (card.kind == Kind::kTran) v.tran = read_tran_options(card);
+    if (card.kind == Kind::kAc) {
+      v.ac = read_frequency_grid<AcOptions>(card);
+      v.ac_input = ac_input(card);
+    }
+    if (card.kind == Kind::kNoise) {
+      v.noise = read_frequency_grid<NoiseOptions>(card);
+      v.noise.temperature_k = plan_.temperature_k;
+    }
+    return v;
+  }
+
+  /// The AcOptions or NoiseOptions of an .ac/.noise card.  Rejects what
+  /// log_frequency_grid cannot march: a non-positive start, a stop not
+  /// above the start, and fewer than 1 or more than 1e6 points per decade
+  /// (the cap keeps the point count of any finite range representable).
   template <typename SweepOptions>
-  void read_frequency_grid(const AnalysisCard& card, SweepOptions& opt) const {
+  SweepOptions read_frequency_grid(const AnalysisCard& card) const {
+    SweepOptions opt;
     const double npd = eval_in_env(card.npd_expr, card.line_no, card.line);
     opt.f_start_hz = eval_in_env(card.fstart_expr, card.line_no, card.line);
     opt.f_stop_hz = eval_in_env(card.fstop_expr, card.line_no, card.line);
@@ -269,6 +366,10 @@ class StepRunner {
           card.line_no, card.line);
     }
     opt.points_per_decade = static_cast<int>(npd);
+    opt.dc = solver();
+    opt.workspace = &ws_;
+    opt.system = &ac_;
+    return opt;
   }
 
   /// The swept values of a .dc card: finite bounds, a step that reaches
@@ -318,7 +419,7 @@ class StepRunner {
     topt.adaptive = true;
     topt.dt_print = topt.dt;  // tstep is the print/report interval
     topt.ic = TransientIc::kFromOperatingPoint;
-    topt.solver = cfg_.solver;
+    topt.solver = solver();
     topt.workspace = &ws_;
     for (const auto& [k, v] : card.options) {
       if (k == "fixed") {
@@ -359,220 +460,99 @@ class StepRunner {
     return topt;
   }
 
-  /// Global parameter env of this step (globals + overrides), evaluated
-  /// lazily once: analysis and measure card options are expressions too.
-  const ParamEnv& genv() const {
-    if (!genv_ready_) {
-      ParamEnv env;
-      for (const ParamScope& scope : deck_.scopes) {
-        if (scope.parent != -1) continue;
-        for (const ParamSpec& p : scope.params) {
-          const auto ov = overrides_.find(p.name);
-          env[p.name] =
-              ov != overrides_.end() ? ov->second : eval_expr(p.expr, env);
-        }
-      }
-      for (const auto& [k, v] : overrides_) env.emplace(k, v);
-      genv_ = std::move(env);
-      genv_ready_ = true;
-    }
-    return genv_;
-  }
-
-  /// Voltage-probe set of an analysis: .probe selections (all nodes when
-  /// none and not `.probe none`) plus every node a measure of this
-  /// analysis reads — measures must never fail because nobody probed
-  /// their signal.
-  std::vector<std::string> voltage_probes(const std::string& analysis) const {
-    std::vector<std::string> out;
-    if (!deck_.probe_none) {
-      for (const ProbeNode& p : deck_.probe_nodes) push_unique(out, p.node);
-      if (deck_.probe_nodes.empty()) {
-        for (int id = 1; id <= ckt_.num_nodes(); ++id) {
-          push_unique(out, ckt_.node_name(id));
-        }
-      }
-    }
-    for (const MeasureCard& m : deck_.measures) {
-      if (m.analysis != analysis || analysis == "noise") continue;
-      for (const std::string& s : m.signals) {
-        const Signal sig = parse_signal(s, m.line_no, m.line);
-        // A signal naming an unknown node must not abort the analysis —
-        // its own measure reports the failure (null + measure_errors).
-        if (!sig.current && ckt_.has_node(sig.name)) {
-          push_unique(out, sig.name);
-        }
-      }
-    }
-    // Sweeps need at least one probe column.
-    if (out.empty() && ckt_.num_nodes() > 0) {
-      out.push_back(ckt_.node_name(1));
-    }
-    return out;
-  }
-
-  std::vector<std::string> current_probe_names(
-      const std::string& analysis) const {
-    std::vector<std::string> out;
-    if (!deck_.probe_none) {
-      for (const std::string& p : deck_.probe_currents) push_unique(out, p);
-    }
-    for (const MeasureCard& m : deck_.measures) {
-      if (m.analysis != analysis || analysis == "noise") continue;
-      for (const std::string& s : m.signals) {
-        const Signal sig = parse_signal(s, m.line_no, m.line);
-        if (sig.current && has_vsource(sig.name)) push_unique(out, sig.name);
-      }
-    }
-    return out;
-  }
-
-  bool has_vsource(const std::string& name) const {
-    for (const auto& el : ckt_.elements()) {
-      if (el->name() == name) return dynamic_cast<VSource*>(el.get()) != nullptr;
-    }
-    return false;
-  }
-
-  VSource* find_vsource(const std::string& name, int line_no,
-                        const std::string& line) const {
-    for (const auto& el : ckt_.elements()) {
-      if (el->name() == name) {
-        auto* src = dynamic_cast<VSource*>(el.get());
-        if (!src) {
-          throw ParseError("'" + name + "' is not a voltage source", line_no,
-                           line);
-        }
-        return src;
-      }
-    }
-    throw ParseError("unknown voltage source '" + name + "'", line_no, line);
-  }
-
-  /// The deck's designated AC input: the v-card carrying an `ac <mag>`
-  /// token (retune re-applies it before every analysis, so scanning the
-  /// live circuit is reliable even though ac_sweep zeroes it afterwards).
-  VSource* find_ac_input(int line_no, const std::string& line) const {
+  /// The deck's AC input at this step point: the one voltage source with
+  /// a nonzero `ac` magnitude.
+  VSource* ac_input(const AnalysisCard& card) const {
     VSource* input = nullptr;
-    for (const auto& el : ckt_.elements()) {
-      auto* src = dynamic_cast<VSource*>(el.get());
-      if (!src || src->ac_magnitude() == 0.0) continue;
+    for (const auto& [name, src] : plan_.vsources) {
+      if (src->ac_magnitude() == 0.0) continue;
       if (input) {
         throw ParseError("more than one source carries an 'ac' magnitude",
-                         line_no, line);
+                         card.line_no, card.line);
       }
       input = src;
     }
     if (!input) {
-      throw ParseError(
-          "deck has no AC input (add 'ac 1' to a v card)", line_no, line);
+      throw ParseError("deck has no AC input (add 'ac 1' to a v card)",
+                       card.line_no, card.line);
     }
     return input;
   }
 
-  core::Json run_analysis(const AnalysisCard& card) {
+  core::Json run_analysis(const PlannedAnalysis& a,
+                          const AnalysisValues& v) {
     // Deadline poll at the analysis boundary: a deck whose budget expired
     // during one analysis must not start the next.
-    if (cfg_.solver.cancel) cfg_.solver.cancel->throw_if_stopped("session");
-    const std::string kind = analysis_kind_name(card.kind);
-    // Span names must be string literals (the tracer stores the pointer),
-    // so the per-analysis span cannot reuse the kind string above.
-    const char* span_name = "analysis";
-    switch (card.kind) {
-      case AnalysisCard::Kind::kOp: span_name = "analysis:op"; break;
-      case AnalysisCard::Kind::kDc: span_name = "analysis:dc"; break;
-      case AnalysisCard::Kind::kTran: span_name = "analysis:tran"; break;
-      case AnalysisCard::Kind::kAc: span_name = "analysis:ac"; break;
-      case AnalysisCard::Kind::kNoise: span_name = "analysis:noise"; break;
-    }
-    obs::ScopedSpan span(span_name);
+    if (solver().cancel) solver().cancel->throw_if_stopped("session");
+    const AnalysisCard& card = *a.card;
+    obs::ScopedSpan span(kKinds[static_cast<int>(card.kind)].span);
     auto out = core::Json::object();
-    out.set("type", kind);
+    out.set("type", analysis_kind_name(card.kind));
     switch (card.kind) {
-      case AnalysisCard::Kind::kOp: run_op(out); break;
-      case AnalysisCard::Kind::kDc: run_dc(card, out); break;
-      case AnalysisCard::Kind::kTran: run_tran(card, out); break;
-      case AnalysisCard::Kind::kAc: run_ac(card, out); break;
-      case AnalysisCard::Kind::kNoise: run_noise(card, out); break;
+      case AnalysisCard::Kind::kOp: run_op(a, out); break;
+      case AnalysisCard::Kind::kDc: run_dc(a, v, out); break;
+      case AnalysisCard::Kind::kTran: run_tran(a, v, out); break;
+      case AnalysisCard::Kind::kAc: run_ac(a, v, out); break;
+      case AnalysisCard::Kind::kNoise: run_noise(a, v, out); break;
     }
     return out;
   }
 
-  void run_op(core::Json& out) {
-    results_.op = operating_point(ckt_, cfg_.solver, nullptr, &ws_);
-    results_.have_op = true;
-    out.set("stats", to_json(results_.op.stats));
+  void run_op(const PlannedAnalysis& a, core::Json& out) {
+    op_ = operating_point(ckt_, solver(), nullptr, &ws_);
+    have_op_ = true;
+    out.set("stats", to_json(op_.stats));
     if (emit_tables()) {
       auto voltages = core::Json::object();
-      for (const std::string& node : voltage_probes("op")) {
-        voltages.set("v(" + node + ")",
-                     node_voltage(ckt_, results_.op, node));
+      for (const std::string& node : a.probes) {
+        voltages.set("v(" + node + ")", node_voltage(ckt_, op_, node));
       }
       out.set("voltages", std::move(voltages));
-      const auto currents = current_probe_names("op");
-      if (!currents.empty()) {
+      if (!a.currents.empty()) {
         auto ij = core::Json::object();
-        for (const std::string& name : currents) {
-          VSource* src = find_vsource(name, 0, "");
-          ij.set("i(" + name + ")",
-                 vsource_current(ckt_, results_.op, *src));
+        for (const VSource* src : a.currents) {
+          ij.set("i(" + src->name() + ")", vsource_current(ckt_, op_, *src));
         }
         out.set("currents", std::move(ij));
       }
     }
   }
 
-  void run_dc(const AnalysisCard& card, core::Json& out) {
-    VSource* swept = find_vsource(card.source, card.line_no, card.line);
+  void run_dc(const PlannedAnalysis& a, const AnalysisValues& v,
+              core::Json& out) {
     phys::DataTable table =
-        dc_sweep(ckt_, *swept, read_dc_values(card), voltage_probes("dc"),
-                 cfg_.solver, &ws_);
-    out.set("source", card.source);
+        dc_sweep(ckt_, *a.source, v.sweep, a.probes, solver(), &ws_);
+    out.set("source", a.card->source);
     if (emit_tables()) {
       out.set("table", table_json(table, session_opts_.max_table_rows));
     }
-    results_.tables.insert_or_assign("dc", std::move(table));
+    tables_.insert_or_assign("dc", std::move(table));
   }
 
-  void run_tran(const AnalysisCard& card, core::Json& out) {
-    const TransientOptions topt = read_tran_options(card);
-    std::vector<const VSource*> current_probes;
-    for (const std::string& name : current_probe_names("tran")) {
-      current_probes.push_back(find_vsource(name, card.line_no, card.line));
-    }
-    phys::DataTable table =
-        transient(ckt_, topt, voltage_probes("tran"), current_probes);
-    out.set("stats", to_json(*topt.solver.record));
+  void run_tran(const PlannedAnalysis& a, const AnalysisValues& v,
+                core::Json& out) {
+    phys::DataTable table = transient(ckt_, v.tran, a.probes, a.currents);
+    out.set("stats", to_json(*v.tran.solver.record));
     if (emit_tables()) {
       out.set("table", table_json(table, session_opts_.max_table_rows));
     }
-    results_.tables.insert_or_assign("tran", std::move(table));
+    tables_.insert_or_assign("tran", std::move(table));
   }
 
-  void run_ac(const AnalysisCard& card, core::Json& out) {
-    AcOptions aopt;
-    read_frequency_grid(card, aopt);
-    aopt.dc = cfg_.solver;
-    aopt.workspace = &ws_;
-    aopt.system = &ac_;
-    VSource* input = find_ac_input(card.line_no, card.line);
-    phys::DataTable table = ac_sweep(ckt_, *input, voltage_probes("ac"), aopt);
-    out.set("input", input->name());
+  void run_ac(const PlannedAnalysis& a, const AnalysisValues& v,
+              core::Json& out) {
+    phys::DataTable table = ac_sweep(ckt_, *v.ac_input, a.probes, v.ac);
+    out.set("input", v.ac_input->name());
     if (emit_tables()) {
       out.set("table", table_json(table, session_opts_.max_table_rows));
     }
-    results_.tables.insert_or_assign("ac", std::move(table));
+    tables_.insert_or_assign("ac", std::move(table));
   }
 
-  void run_noise(const AnalysisCard& card, core::Json& out) {
-    NoiseOptions nopt;
-    read_frequency_grid(card, nopt);
-    nopt.temperature_k = cfg_.temperature_k;
-    nopt.dc = cfg_.solver;
-    nopt.workspace = &ws_;
-    nopt.system = &ac_;
-    VSource* input = find_vsource(card.source, card.line_no, card.line);
-    NoiseResult res = noise_sweep(ckt_, *input, card.output, nopt);
+  void run_noise(const PlannedAnalysis& a, const AnalysisValues& v,
+                 core::Json& out) {
+    const AnalysisCard& card = *a.card;
+    NoiseResult res = noise_sweep(ckt_, *a.source, card.output, v.noise);
     out.set("output", card.output);
     out.set("input", card.source);
     out.set("onoise_total_v2", res.onoise_total_v2);
@@ -585,19 +565,19 @@ class StepRunner {
     if (emit_tables()) {
       out.set("table", table_json(res.table, session_opts_.max_table_rows));
     }
-    results_.tables.insert_or_assign("noise", std::move(res.table));
+    tables_.insert_or_assign("noise", std::move(res.table));
   }
 
   // --- measures -------------------------------------------------------------
 
   double measure_opt(const MeasureCard& m, const char* key,
                      double fallback) const {
-    const std::string* v = find_opt(m.options, key);
+    const std::string* v = find_option(m.options, key);
     return v ? eval_in_env(*v, m.line_no, m.line) : fallback;
   }
 
   double measure_opt_required(const MeasureCard& m, const char* key) const {
-    const std::string* v = find_opt(m.options, key);
+    const std::string* v = find_option(m.options, key);
     if (!v) {
       throw ParseError(".measure " + m.name + " needs " + key + "=",
                        m.line_no, m.line);
@@ -606,8 +586,8 @@ class StepRunner {
   }
 
   const phys::DataTable& table_for(const MeasureCard& m) const {
-    const auto it = results_.tables.find(m.analysis);
-    if (it == results_.tables.end()) {
+    const auto it = tables_.find(m.analysis);
+    if (it == tables_.end()) {
       throw ParseError("measure '" + m.name + "': no ." + m.analysis +
                            " analysis was run",
                        m.line_no, m.line);
@@ -635,22 +615,22 @@ class StepRunner {
   }
 
   double measure_value_raw(const MeasureCard& m) const {
-    const bool rising = find_opt(m.options, "fall") == nullptr;
+    const bool rising = find_option(m.options, "fall") == nullptr;
     if (m.fn == "value") {
       if (m.analysis != "op") {
         throw ParseError("measure fn 'value' reads the .op solution",
                          m.line_no, m.line);
       }
-      if (!results_.have_op) {
+      if (!have_op_) {
         throw ParseError("measure '" + m.name + "': no .op analysis was run",
                          m.line_no, m.line);
       }
       const Signal sig = signal_at(m, 0);
       if (sig.current) {
-        VSource* src = find_vsource(sig.name, m.line_no, m.line);
-        return vsource_current(ckt_, results_.op, *src);
+        const VSource* src = plan_.vsource(sig.name, m.line_no, m.line);
+        return vsource_current(ckt_, op_, *src);
       }
-      return node_voltage(ckt_, results_.op, sig.name);
+      return node_voltage(ckt_, op_, sig.name);
     }
 
     const phys::DataTable& table = table_for(m);
@@ -723,7 +703,7 @@ class StepRunner {
           table, column_for(m.analysis, signal_at(m, 0)),
           column_for(m.analysis, signal_at(m, 1)),
           measure_opt_required(m, "vdd"));
-      const std::string* metric = find_opt(m.options, "metric");
+      const std::string* metric = find_option(m.options, "metric");
       const std::string which = metric ? lower(*metric) : "gain";
       if (which == "gain") return vtc.max_abs_gain;
       if (which == "nml") return vtc.nm_low;
@@ -740,7 +720,7 @@ class StepRunner {
   }
 
   const Deck& deck_;
-  const DeckConfig& cfg_;
+  const DeckPlan& plan_;
   Circuit& ckt_;
   NewtonWorkspace& ws_;
   AcSystem& ac_;
@@ -748,9 +728,11 @@ class StepRunner {
   ModelMemo& memo_;
   const ParamEnv& overrides_;
   const SessionOptions& session_opts_;
-  StepResults results_;
-  mutable ParamEnv genv_;
-  mutable bool genv_ready_ = false;
+  ParamEnv genv_;  ///< global parameters of this step point
+  // What the analyses record, for the measures.
+  bool have_op_ = false;
+  Solution op_;
+  std::map<std::string, phys::DataTable> tables_;  ///< by analysis kind
 };
 
 }  // namespace
@@ -796,13 +778,12 @@ core::Json SimSession::run_deck(const Deck& deck,
   obs::ScopedSpan deck_span("deck");
   bool cache_hit = false;
   CacheEntry& entry = entry_for(deck, &cache_hit);
-  check_circuit(deck, *entry.circuit);
+  DeckPlan plan(deck, *entry.circuit, opts_.emit_tables && !deck.probe_none);
   ++entry.uses;
-  DeckConfig cfg = config_from(deck);
-  cfg.solver.cancel = cancel;  // polled by every Newton/transient/AC loop
+  plan.solver.cancel = cancel;  // polled by every Newton/transient/AC loop
   SolveRecord record;
   record.collect_phases = opts_.collect_phases;
-  cfg.solver.record = &record;
+  plan.solver.record = &record;
 
   auto doc = core::Json::object();
   doc.set("ok", true);
@@ -824,7 +805,7 @@ core::Json SimSession::run_deck(const Deck& deck,
   for (const ParamEnv& overrides : expand_steps(deck)) {
     if (cancel) cancel->throw_if_stopped("session");
     const int sym0 = entry.workspace.mna.analyze_count();
-    StepRunner runner(deck, cfg, *entry.circuit, entry.workspace, entry.ac,
+    StepRunner runner(deck, plan, *entry.circuit, entry.workspace, entry.ac,
                       registry_, entry.model_memo, overrides, opts_);
     steps.push(runner.run());
     if (obs::Tracer* trc = obs::tracer()) {

@@ -86,9 +86,12 @@ class SimSession {
   core::Json run_deck_text(const std::string& text,
                            const phys::CancelToken* cancel = nullptr);
 
-  /// Run an already parsed deck.  Throws ParseError on card-level
-  /// evaluation errors, SolveFailureError on convergence failure and
-  /// phys::CancelledError on a fired @p cancel (run_deck_text wraps all).
+  /// Run an already parsed deck.  The deck is checked against its cached
+  /// circuit before any solve, and each step point's analysis cards are
+  /// evaluated before that point's first solve.  Throws ParseError on
+  /// card-level evaluation errors, SolveFailureError on convergence
+  /// failure and phys::CancelledError on a fired @p cancel (run_deck_text
+  /// wraps all).
   core::Json run_deck(const Deck& deck,
                       const phys::CancelToken* cancel = nullptr);
 

@@ -4,9 +4,10 @@
 /// contract — good decks, parse errors, solve failures, injected hangs
 /// cut by deadlines, admission-control overload shedding, oversized-frame
 /// rejection, mid-solve client disconnects cancelling the in-flight
-/// solve, idle and busy neighbours that must not starve a client,
-/// in-order pipelining, and the graceful drain flushing every admitted
-/// response — plus unit tests of the frame splitter.
+/// solve, a half-closed client that must still get its reply, idle and
+/// busy neighbours that must not starve a client, in-order pipelining, and
+/// the graceful drain flushing every admitted response — plus unit tests of
+/// the frame splitter.
 
 #include <gtest/gtest.h>
 
@@ -108,6 +109,9 @@ class Client {
   bool send_line(const std::string& line) {
     return serve::write_frame(fd_, line, 5.0);
   }
+
+  /// Stop sending but keep reading (what `nc -N` does after its input).
+  void shutdown_write() { ::shutdown(fd_, SHUT_WR); }
 
   /// Read one newline-terminated frame within @p timeout_s; nullopt on
   /// EOF / timeout / error.
@@ -485,6 +489,31 @@ TEST(Serve, DisconnectCancelsInFlightSolve) {
   server.request_drain();
   server.wait();
   EXPECT_GE(server.stats().disconnects.load(), 1);
+}
+
+TEST(Serve, HalfClosedClientGetsItsReply) {
+  const std::string path = test_socket_path();
+  serve::Server server(base_config(path));
+  server.start();
+  {
+    Client c(path);
+    ASSERT_TRUE(c.connected());
+    ASSERT_TRUE(c.send_line(run_request(kHangDeck, 500.0).dump()));
+    // A half-close is no hang-up: the run goes on to its deadline and the
+    // document comes back on the still-open reading side.
+    c.shutdown_write();
+    const auto line = c.recv_line();
+    ASSERT_TRUE(line.has_value()) << "half-closed client got no reply";
+    const Json doc = Json::parse(*line);
+    EXPECT_EQ(doc["error"]["type"].as_string(), "timeout") << doc.dump(1);
+    // Then the server closes: the client sent nothing more.
+    EXPECT_FALSE(c.recv_line(5.0).has_value());
+    EXPECT_TRUE(c.eof());
+  }
+  server.request_drain();
+  server.wait();
+  EXPECT_EQ(server.stats().timeouts.load(), 1);
+  EXPECT_EQ(server.stats().disconnects.load(), 0);
 }
 
 TEST(Serve, GracefulDrainFlushesAdmittedWork) {

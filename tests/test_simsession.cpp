@@ -191,6 +191,36 @@ const MalformedCase kMalformedDecks[] = {
      ".model nch alphan\nv1 d 0 1\nmn d d 0 nch m=2\n.op\n"},
     {"v1 a 0 1e300t\nr1 a 0 1k\n.op\n", 1, "v1 a 0 1e300t",
      "non-finite numeric literal", "v1 a 0 1\nr1 a 0 1k\n.op\n"},
+    // Non-finite source values and initial conditions: they used to run
+    // the whole convergence ladder and fail at its last stage.
+    {"v1 a 0 {0/0}\nr1 a 0 1k\n.op\n", 1, "v1 a 0 {0/0}",
+     "source value must be finite", "v1 a 0 1\nr1 a 0 1k\n.op\n"},
+    {"i1 0 a {1/0}\nr1 a 0 1k\n.op\n", 1, "i1 0 a {1/0}",
+     "source value must be finite", "i1 0 a 1m\nr1 a 0 1k\n.op\n"},
+    {"v1 a 0 pulse(0 {0/0} 1n 1n 1n 5n 10n)\nr1 a b 1k\nc1 b 0 1p\n"
+     ".tran 1n 10n\n",
+     1, "v1 a 0 pulse(0 {0/0} 1n 1n 1n 5n 10n)", "source value must be finite",
+     "v1 a 0 pulse(0 1 1n 1n 1n 5n 10n)\nr1 a b 1k\nc1 b 0 1p\n"
+     ".tran 1n 10n\n"},
+    {"v1 a 0 dc 0 ac {0/0}\nr1 a b 1k\nc1 b 0 1n\n.ac dec 10 1 1meg\n", 1,
+     "v1 a 0 dc 0 ac {0/0}", "ac magnitude must be finite",
+     "v1 a 0 dc 0 ac 1\nr1 a b 1k\nc1 b 0 1n\n.ac dec 10 1 1meg\n"},
+    {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1p ic={0/0}\n.tran 1n 10n\n", 3,
+     "c1 b 0 1p ic={0/0}", "initial condition ic must be finite",
+     "v1 a 0 1\nr1 a b 1k\nc1 b 0 1p ic=0\n.tran 1n 10n\n"},
+    // A subcircuit that instantiates itself: the recursing x card's line.
+    {".subckt loop n\nx1 n loop\n.ends\nv1 a 0 1\nx0 a loop\n.op\n", 2,
+     "x1 n loop", "nesting deeper than 50"},
+    // A current probe naming no voltage source: refused at the .probe
+    // card, whichever analyses run.
+    {"v1 a 0 1\nr1 a 0 1k\n.probe i(r1)\n", 3, ".probe i(r1)",
+     "'r1' is not a voltage source", "v1 a 0 1\nr1 a 0 1k\n.probe i(v1)\n"},
+    {"v1 a 0 1\nr1 a 0 1k\n.probe i(vx)\n.op\n", 3, ".probe i(vx)",
+     "unknown voltage source 'vx'",
+     "v1 a 0 1\nr1 a 0 1k\n.probe i(v1)\n.op\n"},
+    {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1p\n.probe i(c1)\n.tran 1n 10n\n", 4,
+     ".probe i(c1)", "'c1' is not a voltage source",
+     "v1 a 0 1\nr1 a b 1k\nc1 b 0 1p\n.probe i(v1)\n.tran 1n 10n\n"},
 };
 
 TEST(SimSession, MalformedDeckYieldsStructuredError) {
@@ -227,6 +257,95 @@ TEST(SimSession, MalformedValuesFailAlikeOnACachedTopology) {
     const Json again = session.run_deck_text(c.good);
     ASSERT_TRUE(again["ok"].as_bool()) << again.dump(1);
     EXPECT_TRUE(again["topology"]["cache_hit"].as_bool());
+  }
+}
+
+TEST(SimSession, AnalysesLeaveTheCircuitAsTheyFoundIt) {
+  // One retune serves every analysis of a step point, so each analysis
+  // must put back what it moves: .dc its swept source, .ac and .noise the
+  // input's AC magnitude.  Analyses after them must read as they do alone:
+  // the .op, and the .noise, whose gain sees every source's AC magnitude.
+  const std::string circuit =
+      "v1 in 0 dc 1 ac 1\nv2 b 0 0.5\nr1 in out 1k\nr2 b out 10k\n"
+      "c1 out 0 1n\nd1 out 0\n.probe v(out) i(v1)\n";
+  const std::string ac = ".ac dec 5 1k 10meg\n";
+  const std::string noise = ".noise v(out) v2 dec 5 1k 10meg\n";
+  const auto alone = [&](const std::string& analysis) {
+    sp::SimSession session;
+    const Json doc = session.run_deck_text(circuit + analysis);
+    EXPECT_TRUE(doc["ok"].as_bool()) << doc.dump(1);
+    return doc["steps"].at(0)["analyses"].at(0).dump();
+  };
+  sp::SimSession session;
+  const Json all = session.run_deck_text(circuit + ".dc v1 0 2 0.5\n" + ac +
+                                         noise + ".op\n" + ac);
+  ASSERT_TRUE(all["ok"].as_bool()) << all.dump(1);
+  const Json& analyses = all["steps"].at(0)["analyses"];
+  ASSERT_EQ(analyses.size(), 5u);
+  EXPECT_EQ(analyses.at(2).dump(), alone(noise));
+  EXPECT_EQ(analyses.at(3).dump(), alone(".op\n"));
+  EXPECT_EQ(analyses.at(4).dump(), analyses.at(1).dump());
+}
+
+/// @p doc without what depends on the session's history: the session
+/// block, every solver stats block and the topology cache hit.
+Json history_free(const Json& doc) {
+  if (doc.is_array()) {
+    auto out = Json::array();
+    for (std::size_t i = 0; i < doc.size(); ++i) {
+      out.push(history_free(doc.at(i)));
+    }
+    return out;
+  }
+  if (!doc.is_object()) return doc;
+  auto out = Json::object();
+  for (const auto& [key, value] : doc.members()) {
+    if (key == "session" || key == "stats" || key == "cache_hit") continue;
+    out.set(key, history_free(value));
+  }
+  return out;
+}
+
+TEST(SimSession, DocumentsDoNotDependOnHistory) {
+  // Each deck after a value variant of its topology, on one session, reads
+  // as it does on a fresh session.
+  std::string acceptance_variant = kAcceptanceDeck;
+  acceptance_variant.replace(acceptance_variant.find("k=60u"), 5, "k=80u");
+  const std::string rc =
+      ".param r=1k\nvin in 0 pulse(0 1 1n 1n 1n 50n 100n) ac 1\n"
+      "r1 in out {r}\nc1 out 0 1p\n.ac dec 10 1meg 10g\n"
+      ".noise v(out) vin dec 10 1meg 10g\n.tran 0.1n 20n\n"
+      ".measure ac f3db corner v(out)\n.measure tran vmax max v(out)\n";
+  const std::string ring =
+      ".param vdd=1.0 cl=5f\n"
+      ".model nd alphan(vt=0.2 alpha=1.3 k=60u lambda=0.08)\n"
+      ".model pd alphap(vt=0.2 alpha=1.3 k=60u lambda=0.08)\n"
+      ".subckt inv in out vdd cl=5f v0=0\nmp out in vdd pd\n"
+      "mn out in 0 nd\nc1 out 0 {cl} ic={v0}\n.ends\n"
+      "vdd vdd 0 {vdd}\nx1 n1 n2 vdd inv cl={cl} v0={vdd}\n"
+      "x2 n2 n3 vdd inv cl={cl}\nx3 n3 n1 vdd inv cl={cl}\n"
+      ".tran 5p 2n ic=init\n.probe v(n1)\n"
+      ".measure tran period period v(n1) vdd={vdd} skip=1\n"
+      ".measure tran swing pp v(n1)\n";
+  const struct {
+    std::string deck, variant;
+  } cases[] = {
+      {kAcceptanceDeck, acceptance_variant},
+      {rc, ".param r=2k\n" + rc.substr(rc.find('\n') + 1)},
+      {ring, ".param vdd=0.8 cl=5f\n" + ring.substr(ring.find('\n') + 1)},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.deck);
+    sp::SimSession fresh;
+    const Json alone = fresh.run_deck_text(c.deck);
+    ASSERT_TRUE(alone["ok"].as_bool()) << alone.dump(1);
+    sp::SimSession session;
+    const Json variant = session.run_deck_text(c.variant);
+    ASSERT_TRUE(variant["ok"].as_bool()) << variant.dump(1);
+    const Json after = session.run_deck_text(c.deck);
+    EXPECT_TRUE(after["topology"]["cache_hit"].as_bool());
+    EXPECT_NE(history_free(variant).dump(), history_free(alone).dump());
+    EXPECT_EQ(history_free(after).dump(), history_free(alone).dump());
   }
 }
 

@@ -457,86 +457,6 @@ TEST(Bypass, DiodeCountersTrackEvalsAndBypasses) {
             10 * stats.newton_iterations);
 }
 
-// ------------------------------------------------------------ PI controller
-
-TEST(PiController, DampsGrowthWhileErrorRises) {
-  sp::LteControlConfig cfg = test_config();
-  cfg.pi = true;
-  sp::LteController ctl(cfg);
-  // First decision (no history) matches the deadbeat rule.
-  const auto first = ctl.step(1e-12, 0.2, 3);
-  const auto deadbeat = sp::LteController(test_config()).decide(1e-12, 0.2, 3);
-  EXPECT_TRUE(first.accept);
-  EXPECT_DOUBLE_EQ(first.dt_next, deadbeat.dt_next);
-  // Error rising 0.2 -> 0.8: the PI term must grow the step less than the
-  // deadbeat rule would.
-  const auto pi = ctl.step(first.dt_next, 0.8, 3);
-  const auto db =
-      sp::LteController(test_config()).decide(first.dt_next, 0.8, 3);
-  EXPECT_TRUE(pi.accept);
-  EXPECT_LT(pi.dt_next, db.dt_next);
-}
-
-TEST(PiController, CapsRegrowthAfterRejection) {
-  sp::LteControlConfig cfg = test_config();
-  cfg.pi = true;
-  sp::LteController ctl(cfg);
-  ctl.step(1e-12, 0.5, 3);              // seed history
-  const auto rej = ctl.step(2e-12, 4.0, 3);
-  EXPECT_FALSE(rej.accept);
-  EXPECT_LT(rej.dt_next, 2e-12);
-  // The accept right after a rejection must not grow the step again.
-  const auto acc = ctl.step(rej.dt_next, 0.3, 3);
-  EXPECT_TRUE(acc.accept);
-  EXPECT_LE(acc.dt_next, rej.dt_next * (1.0 + 1e-12));
-  // reset_history() returns to deadbeat behaviour.
-  ctl.reset_history();
-  const auto fresh = ctl.step(1e-12, 0.2, 3);
-  EXPECT_DOUBLE_EQ(
-      fresh.dt_next,
-      sp::LteController(test_config()).decide(1e-12, 0.2, 3).dt_next);
-}
-
-TEST(PiController, CutsRingRejectionRateAtMatchedAccuracy) {
-  auto m = std::make_shared<dev::AlphaPowerModel>(
-      dev::make_fig2_saturating_params());
-  ckt::CellOptions copt;
-  copt.c_load = 5e-15;
-  auto run = [&](bool pi, sp::SolveRecord* st) {
-    auto bench = ckt::make_ring_oscillator(m, 5, copt);
-    sp::TransientOptions opt;
-    opt.t_stop = 2e-9;
-    opt.dt = 1e-12;
-    opt.adaptive = true;
-    opt.dt_print = 2e-12;
-    opt.lte_reltol = 1e-4;
-    opt.lte_pi = pi;
-    opt.solver.record = st;
-    return sp::transient(*bench.ckt, opt, {"n0"});
-  };
-  sp::SolveRecord classic, pi;
-  const auto tr_classic = run(false, &classic);
-  const auto tr_pi = run(true, &pi);
-
-  ASSERT_GT(classic.steps_rejected_lte, 0)
-      << "deadbeat controller rejected nothing; deck no longer stresses it";
-  const double rate_classic =
-      static_cast<double>(classic.steps_rejected_lte) /
-      (classic.steps_accepted + classic.steps_rejected_lte);
-  const double rate_pi =
-      static_cast<double>(pi.steps_rejected_lte) /
-      (pi.steps_accepted + pi.steps_rejected_lte);
-  EXPECT_LT(rate_pi, 0.75 * rate_classic)
-      << "PI control must cut the LTE rejection rate";
-
-  // Matched accuracy: the oscillation period agrees with the classic run.
-  const double p_classic = sp::oscillation_period(tr_classic, "v(n0)", 0.5, 1);
-  const double p_pi = sp::oscillation_period(tr_pi, "v(n0)", 0.5, 1);
-  EXPECT_NEAR(p_pi, p_classic, 0.01 * p_classic);
-  // And the total work must not regress.
-  EXPECT_LT(pi.newton_iterations, classic.newton_iterations * 1.1);
-}
-
 // ------------------------------------------------- identical-Jacobian reuse
 
 TEST(JacobianReuse, LinearRcSkipsRefactors) {
@@ -599,7 +519,6 @@ TEST(SramColumn, WriteFlipsRow0AndHoldsTheRest) {
   opt.dt_print = 8e-12;
   opt.lte_reltol = 1e-4;
   opt.bypass_vtol = 1e-4;
-  opt.lte_pi = true;
   opt.ic = sp::TransientIc::kFromOperatingPoint;
   const auto tr =
       sp::transient(*bench.ckt, opt, {"q0", "q1", "q2", "q3"});

@@ -11,6 +11,8 @@ robustness contract:
 
   * every request on a surviving connection yields exactly one JSON
     document (ok, or a structured error of the expected type);
+  * a half-closed client (shutdown(SHUT_WR) after its run, as nc -N does)
+    still gets exactly one document, then the daemon closes;
   * hung solves come back as bounded {"type":"timeout"} documents;
   * oversized frames are rejected with {"type":"too_large"};
   * a saturated queue sheds load with {"type":"overload"} documents;
@@ -38,6 +40,7 @@ import re
 import resource
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -56,7 +59,9 @@ DC_DECK = "v1 a 0 1\nr1 a 0 1k\n.dc v1 0 1e9 1e-3\n"
 # retunes instead of instantiating, and must refuse the same way.
 NEG_R_DECK = "v1 in 0 1\nr1 in out -1k\nr2 out 0 1k\n.op\n.end\n"
 INF_DECK = "v1 in 0 1e300t\nr1 in out 1k\nr2 out 0 1k\n.op\n.end\n"
-PARSE_DECKS = [PARSE_DECK, STEP_DECK, DC_DECK, NEG_R_DECK, INF_DECK]
+NAN_SOURCE_DECK = "v1 in 0 {0/0}\nr1 in out 1k\nr2 out 0 1k\n.op\n.end\n"
+PARSE_DECKS = [PARSE_DECK, STEP_DECK, DC_DECK, NEG_R_DECK, INF_DECK,
+               NAN_SOURCE_DECK]
 NAN_DECK = "v1 d 0 1\nv2 g 0 1\nm1 d g 0 nanfet\n.op\n.end\n"
 # A transient on a stalling FET: every accepted step burns a stalled
 # eval, so the run cannot finish inside the deadline below.
@@ -118,6 +123,13 @@ class Client:
         except OSError:
             pass
 
+    def abort(self):
+        """Hang up with a reset.  An orderly close() is a FIN, which the
+        daemon cannot tell from a half-close until it writes the reply."""
+        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                             struct.pack("ii", 1, 0))
+        self.close()
+
 
 def expect_type(doc, want, what):
     if doc is None:
@@ -166,6 +178,7 @@ def client_mix(port, seed, rounds):
                 c.send({"type": "run", "deck": HANG_DECK,
                         "deadline_ms": 10000})
                 time.sleep(0.02)
+                c.abort()
         except OSError as e:
             fail(f"kind {kind}: transport error {e}")
         finally:
@@ -240,6 +253,31 @@ def check_metrics(port):
         fail("metrics: JSON snapshot missing carbon_request_seconds")
     print("metrics: conserved over %d finished requests "
           "(accepted=%d shed=%d)" % (finished, accepted, shed))
+
+
+def check_half_close(port):
+    """A run sent before shutdown(SHUT_WR) gets exactly one document: the
+    daemon answers the lent request, then closes at the client's EOF."""
+    c = Client(port)
+    try:
+        c.send({"type": "run", "deck": HANG_DECK, "deadline_ms": 300})
+        c.sock.shutdown(socket.SHUT_WR)
+        docs = []
+        while True:
+            doc = c.recv_doc()
+            if doc is None:
+                break
+            docs.append(doc)
+    except (OSError, ValueError) as e:
+        fail(f"half-close: {e!r}")
+        return
+    finally:
+        c.close()
+    if len(docs) != 1:
+        fail(f"half-close: {len(docs)} documents, want 1")
+        return
+    expect_type(docs[0], "timeout", "half-closed run")
+    print("half-close: one document, then EOF")
 
 
 def check_idle_sockets(port):
@@ -392,6 +430,7 @@ def main():
             fail(f"overload burst: {outcomes['none']} connections got no "
                  "document")
 
+        check_half_close(port)
         check_idle_sockets(port)
 
         # Health must be coherent after the storm.

@@ -382,7 +382,7 @@ BENCHMARK(BM_AcSweepSparse)
 // ---- large-array transients: O(N) end-to-end scaling guard ----
 //
 // A 51- vs 501-stage ring oscillator and an SRAM column array, all through
-// the adaptive engine with the quiescent-device bypass, the PI step
+// the adaptive engine with the quiescent-device bypass, the LTE step
 // controller and the sparse LU.  Per-stage cost must stay ~flat from 51 to
 // 501 stages (the run_bench.sh summary records the ratio and the CI smoke
 // job gates on it): a superlinear solve path, a lost pattern reuse or

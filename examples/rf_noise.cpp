@@ -58,7 +58,7 @@ int main() {
 
   // 4) Noise analysis: one adjoint solve per frequency propagates every
   //    device noise source to the output simultaneously.
-  spice::NoiseOptions nopt;
+  spice::AcOptions nopt;
   nopt.f_start_hz = 1e2;
   nopt.f_stop_hz = 1e10;
   nopt.points_per_decade = 4;

@@ -145,8 +145,8 @@ struct AcStampContext {
 /// standard white + 1/f^exp power spectral density [A^2/Hz]:
 ///   S_i(f) = white_a2_hz + flicker_a2 / f^flicker_exp.
 /// Elements emit these from collect_noise() at the DC operating point;
-/// spice::noise_sweep propagates each to the output through one adjoint
-/// solve per frequency.
+/// the small-signal pass (spice::small_signal) propagates each to the
+/// output through one adjoint solve per frequency.
 struct NoiseSource {
   std::string label;           ///< "element.kind", e.g. "m1.flicker"
   NodeId n_plus = 0;           ///< current injected into this node...

@@ -8,12 +8,15 @@
 
 namespace carbon::spice {
 
+// Data that cannot give a measurement throws PreconditionError with the
+// reason alone: clients read it as the measure's error.
+
 VtcMetrics analyze_vtc(const phys::DataTable& vtc, const std::string& vin_col,
                        const std::string& vout_col, double v_dd) {
   const std::vector<double> vin = vtc.column(vin_col);
   const std::vector<double> vout = vtc.column(vout_col);
   const int n = static_cast<int>(vin.size());
-  CARBON_REQUIRE(n >= 3, "VTC needs at least 3 points");
+  if (n < 3) throw phys::PreconditionError("VTC needs at least 3 points");
 
   VtcMetrics m;
   m.v_dd = v_dd;
@@ -113,9 +116,13 @@ double propagation_delay(const phys::DataTable& tran,
                          bool in_rising) {
   const double mid = 0.5 * v_dd;
   const double t_in = crossing_time(tran, in_col, mid, in_rising);
-  CARBON_REQUIRE(t_in >= 0.0, "input never crosses mid level");
+  if (t_in < 0.0) {
+    throw phys::PreconditionError("input never crosses mid level");
+  }
   const double t_out = crossing_time(tran, out_col, mid, !in_rising, t_in);
-  CARBON_REQUIRE(t_out >= 0.0, "output never crosses mid level");
+  if (t_out < 0.0) {
+    throw phys::PreconditionError("output never crosses mid level");
+  }
   return t_out - t_in;
 }
 
@@ -131,8 +138,9 @@ double oscillation_period(const phys::DataTable& tran, const std::string& col,
       crossings.push_back(t[i - 1] + f * (t[i] - t[i - 1]));
     }
   }
-  CARBON_REQUIRE(static_cast<int>(crossings.size()) >= skip_cycles + 2,
-                 "not enough oscillation cycles recorded");
+  if (static_cast<int>(crossings.size()) < skip_cycles + 2) {
+    throw phys::PreconditionError("not enough oscillation cycles recorded");
+  }
   double sum = 0.0;
   int count = 0;
   for (size_t i = skip_cycles + 1; i < crossings.size(); ++i) {
@@ -179,7 +187,7 @@ double column_stat(const phys::DataTable& table, const std::string& xcol,
     v_prev = v[i];
     ++count;
   }
-  CARBON_REQUIRE(count > 0, "column_stat: empty measurement window");
+  if (count == 0) throw phys::PreconditionError("empty measurement window");
   switch (stat) {
     case ColumnStat::kMax:
       return hi;
@@ -200,7 +208,7 @@ double value_at(const phys::DataTable& table, const std::string& xcol,
                 const std::string& col, double x) {
   const std::vector<double> xs = table.column(xcol);
   const std::vector<double> vs = table.column(col);
-  CARBON_REQUIRE(!xs.empty(), "value_at: empty table");
+  if (xs.empty()) throw phys::PreconditionError("empty table");
   if (x <= xs.front()) return vs.front();
   if (x >= xs.back()) return vs.back();
   for (size_t i = 1; i < xs.size(); ++i) {

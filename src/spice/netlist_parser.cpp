@@ -956,7 +956,8 @@ device::DeviceModelPtr resolve_model(
 // --- waveform construction --------------------------------------------------
 
 /// The waveform and AC magnitude of a v/i card, every value taken through
-/// @p finite (value token, what it is) -> its finite value.
+/// @p finite (value token, what it is) -> its finite value, and the
+/// waveform arguments checked against what the waveform needs.
 template <typename Finite>
 WaveformPtr build_wave(const ElementCard& card, const Finite& finite,
                        double* ac_mag) {
@@ -977,10 +978,17 @@ WaveformPtr build_wave(const ElementCard& card, const Finite& finite,
         if (v.size() != 7) {
           fail(card.line_no, card.line, "PULSE wants 7 arguments");
         }
+        if (!(v[3] > 0.0 && v[4] > 0.0 && v[6] >= v[3] + v[4] + v[5])) {
+          fail(card.line_no, card.line,
+               "PULSE wants rise, fall > 0 and period >= rise + fall + width");
+        }
         wave = pulse(v[0], v[1], v[2], v[3], v[4], v[5], v[6]);
       } else if (tag == "sin") {
         if (v.size() < 3 || v.size() > 5) {
           fail(card.line_no, card.line, "SIN wants 3-5 arguments");
+        }
+        if (!(v[2] > 0.0)) {
+          fail(card.line_no, card.line, "SIN frequency must be > 0");
         }
         wave = sine(v[0], v[1], v[2], v.size() > 3 ? v[3] : 0.0,
                     v.size() > 4 ? v[4] : 0.0);
@@ -990,6 +998,10 @@ WaveformPtr build_wave(const ElementCard& card, const Finite& finite,
         }
         std::vector<std::pair<double, double>> pts;
         for (size_t k = 0; k < v.size(); k += 2) {
+          if (k > 0 && !(v[k] > v[k - 2])) {
+            fail(card.line_no, card.line,
+                 "PWL times must be strictly increasing");
+          }
           pts.emplace_back(v[k], v[k + 1]);
         }
         wave = pwl(std::move(pts));

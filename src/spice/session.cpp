@@ -55,12 +55,15 @@ void push_unique(std::vector<std::string>& out, const std::string& name) {
   }
 }
 
-core::Json table_json(const phys::DataTable& table, int max_rows) {
+/// Most rows a rendered table holds: tables are thinned by the deck's
+/// print interval first, this is the backstop.
+constexpr int kMaxTableRows = 100000;
+
+core::Json table_json(const phys::DataTable& table) {
   auto cols = core::Json::array();
   for (const std::string& c : table.columns()) cols.push(c);
   auto rows = core::Json::array();
-  const int n =
-      std::min(table.num_rows(), max_rows < 0 ? table.num_rows() : max_rows);
+  const int n = std::min(table.num_rows(), kMaxTableRows);
   for (int r = 0; r < n; ++r) {
     auto row = core::Json::array();
     for (int c = 0; c < table.num_cols(); ++c) row.push(table.at(r, c));
@@ -240,13 +243,12 @@ struct DeckPlan {
 };
 
 /// One analysis card's values at one step point: the .dc grid, the .tran
-/// options, or the .ac/.noise sweep options and the AC input.
+/// options, or the .ac/.noise grid and the .ac input.
 struct AnalysisValues {
   std::vector<double> sweep;
   TransientOptions tran;
   AcOptions ac;
   VSource* ac_input = nullptr;
-  NoiseOptions noise;
 };
 
 /// One step point's full execution: retune, evaluate every analysis card,
@@ -281,9 +283,8 @@ class StepRunner {
     genv_ = global_params(deck_, overrides_);
     // A sweep grid or time span that cannot be marched fails the deck
     // before the point's first solve.
-    std::vector<AnalysisValues> values;
     for (const PlannedAnalysis& a : plan_.analyses) {
-      values.push_back(evaluate(*a.card));
+      values_.push_back(evaluate(*a.card));
     }
     ws_.prepare(ckt_);
     // Element *values* may have changed under the unchanged topology; the
@@ -291,26 +292,24 @@ class StepRunner {
     ws_.mna.refresh_baseline();
 
     auto analyses = core::Json::array();
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      analyses.push(run_analysis(plan_.analyses[i], values[i]));
+    for (std::size_t i = 0; i < values_.size(); ++i) {
+      analyses.push(run_analysis(i));
     }
     step.set("analyses", std::move(analyses));
 
     if (!deck_.measures.empty()) {
       auto measures = core::Json::object();
       auto errors = core::Json::object();
-      bool any_error = false;
       for (const MeasureCard& m : deck_.measures) {
         try {
           measures.set(m.name, measure_value(m));
         } catch (const std::exception& e) {
           measures.set(m.name, core::Json());
           errors.set(m.name, std::string(e.what()));
-          any_error = true;
         }
       }
       step.set("measures", std::move(measures));
-      if (any_error) step.set("measure_errors", std::move(errors));
+      if (errors.size() > 0) step.set("measure_errors", std::move(errors));
     }
     return step;
   }
@@ -338,24 +337,19 @@ class StepRunner {
     AnalysisValues v;
     if (card.kind == Kind::kDc) v.sweep = read_dc_values(card);
     if (card.kind == Kind::kTran) v.tran = read_tran_options(card);
-    if (card.kind == Kind::kAc) {
-      v.ac = read_frequency_grid<AcOptions>(card);
-      v.ac_input = ac_input(card);
+    if (card.kind == Kind::kAc || card.kind == Kind::kNoise) {
+      v.ac = read_frequency_grid(card);
     }
-    if (card.kind == Kind::kNoise) {
-      v.noise = read_frequency_grid<NoiseOptions>(card);
-      v.noise.temperature_k = plan_.temperature_k;
-    }
+    if (card.kind == Kind::kAc) v.ac_input = ac_input(card);
     return v;
   }
 
-  /// The AcOptions or NoiseOptions of an .ac/.noise card.  Rejects what
-  /// log_frequency_grid cannot march: a non-positive start, a stop not
-  /// above the start, and fewer than 1 or more than 1e6 points per decade
-  /// (the cap keeps the point count of any finite range representable).
-  template <typename SweepOptions>
-  SweepOptions read_frequency_grid(const AnalysisCard& card) const {
-    SweepOptions opt;
+  /// The AcOptions of an .ac/.noise card.  Rejects what log_frequency_grid
+  /// cannot march: a non-positive start, a stop not above the start, and
+  /// fewer than 1 or more than 1e6 points per decade (the cap keeps the
+  /// point count of any finite range representable).
+  AcOptions read_frequency_grid(const AnalysisCard& card) const {
+    AcOptions opt;
     const double npd = eval_in_env(card.npd_expr, card.line_no, card.line);
     opt.f_start_hz = eval_in_env(card.fstart_expr, card.line_no, card.line);
     opt.f_stop_hz = eval_in_env(card.fstop_expr, card.line_no, card.line);
@@ -366,6 +360,7 @@ class StepRunner {
           card.line_no, card.line);
     }
     opt.points_per_decade = static_cast<int>(npd);
+    opt.temperature_k = plan_.temperature_k;
     opt.dc = solver();
     opt.workspace = &ws_;
     opt.system = &ac_;
@@ -479,21 +474,21 @@ class StepRunner {
     return input;
   }
 
-  core::Json run_analysis(const PlannedAnalysis& a,
-                          const AnalysisValues& v) {
+  core::Json run_analysis(std::size_t i) {
     // Deadline poll at the analysis boundary: a deck whose budget expired
     // during one analysis must not start the next.
     if (solver().cancel) solver().cancel->throw_if_stopped("session");
+    const PlannedAnalysis& a = plan_.analyses[i];
     const AnalysisCard& card = *a.card;
     obs::ScopedSpan span(kKinds[static_cast<int>(card.kind)].span);
     auto out = core::Json::object();
     out.set("type", analysis_kind_name(card.kind));
     switch (card.kind) {
       case AnalysisCard::Kind::kOp: run_op(a, out); break;
-      case AnalysisCard::Kind::kDc: run_dc(a, v, out); break;
-      case AnalysisCard::Kind::kTran: run_tran(a, v, out); break;
-      case AnalysisCard::Kind::kAc: run_ac(a, v, out); break;
-      case AnalysisCard::Kind::kNoise: run_noise(a, v, out); break;
+      case AnalysisCard::Kind::kDc: run_dc(a, values_[i], out); break;
+      case AnalysisCard::Kind::kTran: run_tran(a, values_[i], out); break;
+      case AnalysisCard::Kind::kAc: run_ac(i, out); break;
+      case AnalysisCard::Kind::kNoise: run_noise(i, out); break;
     }
     return out;
   }
@@ -524,7 +519,7 @@ class StepRunner {
         dc_sweep(ckt_, *a.source, v.sweep, a.probes, solver(), &ws_);
     out.set("source", a.card->source);
     if (emit_tables()) {
-      out.set("table", table_json(table, session_opts_.max_table_rows));
+      out.set("table", table_json(table));
     }
     tables_.insert_or_assign("dc", std::move(table));
   }
@@ -534,25 +529,60 @@ class StepRunner {
     phys::DataTable table = transient(ckt_, v.tran, a.probes, a.currents);
     out.set("stats", to_json(*v.tran.solver.record));
     if (emit_tables()) {
-      out.set("table", table_json(table, session_opts_.max_table_rows));
+      out.set("table", table_json(table));
     }
     tables_.insert_or_assign("tran", std::move(table));
   }
 
-  void run_ac(const PlannedAnalysis& a, const AnalysisValues& v,
-              core::Json& out) {
-    phys::DataTable table = ac_sweep(ckt_, *v.ac_input, a.probes, v.ac);
-    out.set("input", v.ac_input->name());
-    if (emit_tables()) {
-      out.set("table", table_json(table, session_opts_.max_table_rows));
+  /// The small-signal pass serving card @p i.  It runs at the first .ac or
+  /// .noise card on i's grid, for every such card on that grid; each card
+  /// still renders its own block in card order.
+  SmallSignalResult& pass_for(std::size_t i) {
+    const auto on_grid = [&](std::size_t j) {
+      const AnalysisCard::Kind kind = plan_.analyses[j].card->kind;
+      const AcOptions& a = values_[i].ac;
+      const AcOptions& b = values_[j].ac;
+      return (kind == AnalysisCard::Kind::kAc ||
+              kind == AnalysisCard::Kind::kNoise) &&
+             a.f_start_hz == b.f_start_hz && a.f_stop_hz == b.f_stop_hz &&
+             a.points_per_decade == b.points_per_decade;
+    };
+    std::size_t first = 0;
+    while (!on_grid(first)) ++first;
+    const auto it = passes_.find(first);
+    if (it != passes_.end()) return it->second;
+    VSource* ac_input = nullptr;
+    std::vector<std::string> probes;
+    std::vector<NoiseRequest> noise;
+    for (std::size_t j = first; j < values_.size(); ++j) {
+      if (!on_grid(j)) continue;
+      const PlannedAnalysis& a = plan_.analyses[j];
+      if (a.card->kind == AnalysisCard::Kind::kAc) {
+        // Every .ac card probes the same columns from the same input.
+        ac_input = values_[j].ac_input;
+        probes = a.probes;
+      } else {
+        noise.push_back({a.source, a.card->output});
+      }
     }
-    tables_.insert_or_assign("ac", std::move(table));
+    return passes_[first] =
+               small_signal(ckt_, ac_input, probes, noise, values_[first].ac);
   }
 
-  void run_noise(const PlannedAnalysis& a, const AnalysisValues& v,
-                 core::Json& out) {
-    const AnalysisCard& card = *a.card;
-    NoiseResult res = noise_sweep(ckt_, *a.source, card.output, v.noise);
+  void run_ac(std::size_t i, core::Json& out) {
+    const phys::DataTable& table = pass_for(i).ac;
+    out.set("input", values_[i].ac_input->name());
+    if (emit_tables()) out.set("table", table_json(table));
+    ac_table_ = &table;
+  }
+
+  void run_noise(std::size_t i, core::Json& out) {
+    // The pass's noise results are in card order: this card's is the
+    // first one left.
+    std::vector<NoiseResult>& results = pass_for(i).noise;
+    NoiseResult res = std::move(results.front());
+    results.erase(results.begin());
+    const AnalysisCard& card = *plan_.analyses[i].card;
     out.set("output", card.output);
     out.set("input", card.source);
     out.set("onoise_total_v2", res.onoise_total_v2);
@@ -562,9 +592,7 @@ class StepRunner {
       contributions.set(label, v2);
     }
     out.set("contributions", std::move(contributions));
-    if (emit_tables()) {
-      out.set("table", table_json(res.table, session_opts_.max_table_rows));
-    }
+    if (emit_tables()) out.set("table", table_json(res.table));
     tables_.insert_or_assign("noise", std::move(res.table));
   }
 
@@ -586,6 +614,7 @@ class StepRunner {
   }
 
   const phys::DataTable& table_for(const MeasureCard& m) const {
+    if (m.analysis == "ac" && ac_table_) return *ac_table_;
     const auto it = tables_.find(m.analysis);
     if (it == tables_.end()) {
       throw ParseError("measure '" + m.name + "': no ." + m.analysis +
@@ -630,11 +659,29 @@ class StepRunner {
         const VSource* src = plan_.vsource(sig.name, m.line_no, m.line);
         return vsource_current(ckt_, op_, *src);
       }
+      if (!ckt_.has_node(sig.name)) {
+        throw ParseError("measure '" + m.name + "': no node " + sig.name,
+                         m.line_no, m.line);
+      }
       return node_voltage(ckt_, op_, sig.name);
     }
 
     const phys::DataTable& table = table_for(m);
-    const std::string xcol = x_column(m.analysis);
+    // Every column the measure reads must be in the table: its signals,
+    // and the time axis of the time-domain functions.
+    const auto col = [&](const std::string& name) {
+      const std::vector<std::string>& cols = table.columns();
+      if (std::find(cols.begin(), cols.end(), name) != cols.end()) return name;
+      throw ParseError("measure '" + m.name + "': the ." + m.analysis +
+                           " table has no column " + name,
+                       m.line_no, m.line);
+    };
+    const auto signal = [&](std::size_t index) {
+      return col(column_for(m.analysis, signal_at(m, index)));
+    };
+    const bool timed = m.fn == "cross" || m.fn == "delay" ||
+                       m.fn == "period" || m.fn == "energy";
+    const std::string xcol = col(timed ? "time_s" : x_column(m.analysis));
 
     if (m.fn == "max" || m.fn == "min" || m.fn == "avg" || m.fn == "rms" ||
         m.fn == "pp") {
@@ -643,15 +690,14 @@ class StepRunner {
                               : m.fn == "avg" ? ColumnStat::kAvg
                               : m.fn == "rms" ? ColumnStat::kRms
                                               : ColumnStat::kPeakToPeak;
-      return column_stat(table, xcol,
-                         column_for(m.analysis, signal_at(m, 0)), stat,
+      return column_stat(table, xcol, signal(0), stat,
                          measure_opt(m, "from", -1e308),
                          measure_opt(m, "to", 1e308));
     }
     if (m.fn == "cross") {
       const double t =
-          crossing_time(table, column_for(m.analysis, signal_at(m, 0)),
-                        measure_opt_required(m, "val"), rising,
+          crossing_time(table, signal(0), measure_opt_required(m, "val"),
+                        rising,
                         measure_opt(m, "after", 0.0));
       if (t < 0.0) {
         throw ParseError("measure '" + m.name + "': no crossing found",
@@ -660,10 +706,8 @@ class StepRunner {
       return t;
     }
     if (m.fn == "delay") {
-      return propagation_delay(
-          table, column_for(m.analysis, signal_at(m, 0)),
-          column_for(m.analysis, signal_at(m, 1)),
-          measure_opt_required(m, "vdd"), rising);
+      return propagation_delay(table, signal(0), signal(1),
+                               measure_opt_required(m, "vdd"), rising);
     }
     if (m.fn == "period") {
       const double vdd = measure_opt(m, "vdd", 0.0);
@@ -672,9 +716,8 @@ class StepRunner {
         throw ParseError(".measure period needs mid= or vdd=", m.line_no,
                          m.line);
       }
-      return oscillation_period(
-          table, column_for(m.analysis, signal_at(m, 0)), mid,
-          static_cast<int>(measure_opt(m, "skip", 2)));
+      return oscillation_period(table, signal(0), mid,
+                                static_cast<int>(measure_opt(m, "skip", 2)));
     }
     if (m.fn == "energy") {
       const Signal sig = signal_at(m, 0);
@@ -682,16 +725,14 @@ class StepRunner {
         throw ParseError(".measure energy wants i(<vsource>)", m.line_no,
                          m.line);
       }
-      return supply_energy(table, "i(" + sig.name + ")",
+      return supply_energy(table, col("i(" + sig.name + ")"),
                            measure_opt_required(m, "vdd"));
     }
     if (m.fn == "find") {
-      return value_at(table, xcol, column_for(m.analysis, signal_at(m, 0)),
-                      measure_opt_required(m, "at"));
+      return value_at(table, xcol, signal(0), measure_opt_required(m, "at"));
     }
     if (m.fn == "corner") {
-      const double f =
-          corner_frequency(table, column_for(m.analysis, signal_at(m, 0)));
+      const double f = corner_frequency(table, signal(0));
       if (f < 0.0) {
         throw ParseError("measure '" + m.name + "': no -3 dB corner in band",
                          m.line_no, m.line);
@@ -699,10 +740,8 @@ class StepRunner {
       return f;
     }
     if (m.fn == "vtc") {
-      const VtcMetrics vtc = analyze_vtc(
-          table, column_for(m.analysis, signal_at(m, 0)),
-          column_for(m.analysis, signal_at(m, 1)),
-          measure_opt_required(m, "vdd"));
+      const VtcMetrics vtc = analyze_vtc(table, signal(0), signal(1),
+                                         measure_opt_required(m, "vdd"));
       const std::string* metric = find_option(m.options, "metric");
       const std::string which = metric ? lower(*metric) : "gain";
       if (which == "gain") return vtc.max_abs_gain;
@@ -729,10 +768,15 @@ class StepRunner {
   const ParamEnv& overrides_;
   const SessionOptions& session_opts_;
   ParamEnv genv_;  ///< global parameters of this step point
+  std::vector<AnalysisValues> values_;  ///< per analysis card
+  /// Small-signal passes of this point, by the index of their first card.
+  std::map<std::size_t, SmallSignalResult> passes_;
   // What the analyses record, for the measures.
   bool have_op_ = false;
   Solution op_;
   std::map<std::string, phys::DataTable> tables_;  ///< by analysis kind
+  /// The last .ac card's table, which stays in its small-signal pass.
+  const phys::DataTable* ac_table_ = nullptr;
 };
 
 }  // namespace
@@ -847,58 +891,39 @@ core::Json SimSession::run_deck(const Deck& deck,
 
 core::Json SimSession::run_deck_text(const std::string& text,
                                      const phys::CancelToken* cancel) {
+  auto err = core::Json::object();
   try {
     const Deck deck = parse_deck(text, registry_);
     return run_deck(deck, cancel);
   } catch (const phys::CancelledError& e) {
-    auto err = core::Json::object();
     err.set("type", e.deadline_expired() ? "timeout" : "cancelled");
     err.set("where", e.where());
     err.set("what", std::string(e.what()));
-    auto doc = core::Json::object();
-    doc.set("ok", false);
-    doc.set("error", std::move(err));
-    return doc;
   } catch (const ParseError& e) {
-    auto err = core::Json::object();
     err.set("type", "parse");
     err.set("reason", e.reason());
     err.set("line", e.line());
     err.set("line_text", e.line_text());
     err.set("what", std::string(e.what()));
-    auto doc = core::Json::object();
-    doc.set("ok", false);
-    doc.set("error", std::move(err));
-    return doc;
   } catch (const SolveFailureError& e) {
-    auto err = to_json(e.failure());
+    err = to_json(e.failure());
     err.set("type", "solve_failure");
     err.set("what", std::string(e.what()));
-    auto doc = core::Json::object();
-    doc.set("ok", false);
-    doc.set("error", std::move(err));
-    return doc;
   } catch (const phys::ConvergenceError& e) {
     // A convergence-class error that escaped the escalation ladder (e.g. a
     // model going non-finite during the very first stamp, before Newton
     // starts).  Still a solver outcome, not an internal fault — classify
     // it the same way regardless of where in the pipeline it surfaced.
-    auto err = core::Json::object();
     err.set("type", "solve_failure");
     err.set("what", std::string(e.what()));
-    auto doc = core::Json::object();
-    doc.set("ok", false);
-    doc.set("error", std::move(err));
-    return doc;
   } catch (const std::exception& e) {
-    auto err = core::Json::object();
     err.set("type", "internal");
     err.set("what", std::string(e.what()));
-    auto doc = core::Json::object();
-    doc.set("ok", false);
-    doc.set("error", std::move(err));
-    return doc;
   }
+  auto doc = core::Json::object();
+  doc.set("ok", false);
+  doc.set("error", std::move(err));
+  return doc;
 }
 
 }  // namespace carbon::spice

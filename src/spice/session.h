@@ -2,9 +2,10 @@
 
 /// @file session.h
 /// SimSession: the deck dispatcher behind the netlist-in → results-out
-/// surface.  It takes a parsed Deck (netlist_parser.h), runs every
-/// analysis request per .step point through the existing engine
-/// (operating_point / dc_sweep / transient / ac_sweep / noise_sweep),
+/// surface.  It compiles a parsed Deck (netlist_parser.h) against its
+/// cached circuit into a plan before any solve, then per .step point
+/// retunes once and runs every analysis card (operating_point / dc_sweep /
+/// transient, and one small_signal pass per .ac/.noise frequency grid),
 /// evaluates the .measure cards against the recorded tables, and renders
 /// one structured core::Json document per deck.
 ///
@@ -27,8 +28,8 @@
 ///   {"ok": false, "error": {"type": "solve_failure", ...}}  (the
 /// structured SolveFailure ladder diagnostics), and an expired deadline or
 /// a fired cancel token (the optional phys::CancelToken argument, polled
-/// through every Newton iteration, transient step and AC/noise frequency
-/// point) as
+/// through every Newton iteration, transient step and small-signal
+/// frequency point) as
 ///   {"ok": false, "error": {"type": "timeout" | "cancelled", ...}}
 /// so a batch driver — or a server worker — can keep consuming decks
 /// after a bad, diverging or hung one.
@@ -53,9 +54,6 @@ struct SessionOptions {
   /// Emit the recorded analysis tables ("table" blocks).  Off leaves only
   /// stats + measures — the .probe none behaviour for every deck.
   bool emit_tables = true;
-  /// Hard ceiling on rows per emitted table (tables are thinned by the
-  /// deck's print interval first; this is the backstop).
-  int max_table_rows = 100000;
   /// Topology-cache capacity: at most this many {Circuit, workspace,
   /// AcSystem} entries are kept, evicting least-recently-used beyond it.
   /// Values < 1 clamp to 1 (the most recent topology is always cached).

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "phys/require.h"
+#include "spice/ac.h"
 
 namespace carbon::spice {
 
@@ -29,11 +30,7 @@ void AcSystem::build(Circuit& ckt, const std::vector<double>& x_dc) {
   // element is consulted again for the whole sweep.
   std::vector<AcStampContext::CoordValue> gcap, ccap;
   std::vector<AcStampContext::RhsValue> rcap;
-  AcStampContext cap;
-  cap.x_dc = &x_dc;
-  cap.cap_g = &gcap;
-  cap.cap_c = &ccap;
-  cap.cap_rhs = &rcap;
+  const AcStampContext cap{&x_dc, &gcap, &ccap, &rcap};
   for (const auto& el : ckt.elements()) el->stamp_ac(cap);
 
   if (!structure_ok) {
@@ -97,14 +94,6 @@ bool AcSystem::assemble_factor(double omega) {
   return true;
 }
 
-void AcSystem::solve_in_place(std::vector<phys::Complex>& bx) const {
-  slu_.solve_in_place(bx);
-}
-
-void AcSystem::solve_transpose_in_place(std::vector<phys::Complex>& bx) const {
-  slu_.solve_transpose_in_place(bx);
-}
-
 // ------------------------------------------------------- log_frequency_grid
 
 std::vector<double> log_frequency_grid(double f_start_hz, double f_stop_hz,
@@ -122,110 +111,170 @@ std::vector<double> log_frequency_grid(double f_start_hz, double f_stop_hz,
   return f;
 }
 
-// -------------------------------------------------------------- noise_sweep
+// ------------------------------------------------------------- small_signal
 
-NoiseResult noise_sweep(Circuit& ckt, VSource& input,
-                        const std::string& output_node,
-                        const NoiseOptions& opt) {
+namespace {
+
+/// A .noise output's adjoint solution and running integrals.
+struct NoiseOutput {
+  NodeId out = 0;
+  int input_row = 0;  ///< 0-based branch row of the input source
+  std::vector<phys::Complex> y;
+  std::vector<double> psd_prev;  ///< per source, at the previous point
+  double onoise_prev = 0.0, inoise_prev = 0.0;
+  NoiseResult res;
+};
+
+}  // namespace
+
+SmallSignalResult small_signal(Circuit& ckt, VSource* ac_input,
+                               const std::vector<std::string>& probes,
+                               const std::vector<NoiseRequest>& noise,
+                               const AcOptions& opt) {
+  CARBON_REQUIRE(!ac_input || !probes.empty(), "no probe nodes");
   const std::vector<double> freqs =
       log_frequency_grid(opt.f_start_hz, opt.f_stop_hz, opt.points_per_decade);
 
   // Operating point; all small-signal values and noise PSDs are evaluated
   // at it.
   const Solution dc_sol = operating_point(ckt, opt.dc, nullptr, opt.workspace);
-  const NodeId out = ckt.find_node(output_node);
-  CARBON_REQUIRE(out != 0, "noise output node cannot be ground");
 
-  NoiseContext nctx;
-  nctx.x_dc = &dc_sol.x;
-  nctx.temperature_k = opt.temperature_k;
-  std::vector<NoiseSource> sources;
-  for (const auto& el : ckt.elements()) el->collect_noise(nctx, sources);
-
-  // Restore the input's AC magnitude even when the sweep throws (singular
-  // small-signal system at some frequency).
+  // The .ac input's own magnitude comes back even when the pass throws
+  // (singular small-signal system at some frequency).
   struct MagnitudeGuard {
-    VSource& src;
+    VSource* src;
     double prev;
-    ~MagnitudeGuard() { src.set_ac_magnitude(prev); }
-  } guard{input, input.ac_magnitude()};
-  input.set_ac_magnitude(1.0);
+    ~MagnitudeGuard() { if (src) src->set_ac_magnitude(prev); }
+  } guard{ac_input, ac_input ? ac_input->ac_magnitude() : 0.0};
+  if (ac_input) ac_input->set_ac_magnitude(1.0);
+
+  // One capture and one pattern analysis serve the grid: each point is a
+  // baseline restore, a jωC rescale, a numeric refactor and the solves.
   AcSystem local;
   AcSystem& sys = opt.system ? *opt.system : local;
   sys.build(ckt, dc_sol.x);
-  const int n = sys.size();
 
-  NoiseResult res;
-  res.table = phys::DataTable(
-      {"freq_hz", "onoise_v2_hz", "inoise_v2_hz", "gain_mag"});
-  res.contributions.reserve(sources.size());
-  for (const auto& s : sources) res.contributions.emplace_back(s.label, 0.0);
-
-  std::vector<phys::Complex> x, y(n);
-  std::vector<double> psd_prev(sources.size(), 0.0);
-  std::vector<double> psd_now(sources.size(), 0.0);
-  double onoise_prev = 0.0, inoise_prev = 0.0, f_prev = 0.0;
+  SmallSignalResult res;
+  std::vector<NodeId> probe_ids;
+  if (ac_input) {
+    std::vector<std::string> cols{"freq_hz"};
+    for (const auto& p : probes) {
+      cols.push_back("mag(" + p + ")");
+      cols.push_back("phase_deg(" + p + ")");
+    }
+    res.ac = phys::DataTable(cols);
+    probe_ids = resolve_probes(ckt, probes);
+  }
+  std::vector<NoiseSource> sources;
+  const NoiseContext nctx{&dc_sol.x, opt.temperature_k};
+  if (!noise.empty()) {
+    for (const auto& el : ckt.elements()) el->collect_noise(nctx, sources);
+  }
+  std::vector<NoiseOutput> outs(noise.size());
+  for (std::size_t k = 0; k < noise.size(); ++k) {
+    NoiseOutput& o = outs[k];
+    o.out = ckt.find_node(noise[k].output);
+    CARBON_REQUIRE(o.out != 0, "noise output node cannot be ground");
+    o.input_row = ckt.vsource_branch_index(*noise[k].input) - 1;
+    o.y.resize(sys.size());
+    o.psd_prev.assign(sources.size(), 0.0);
+    o.res.table = phys::DataTable(
+        {"freq_hz", "onoise_v2_hz", "inoise_v2_hz", "gain_mag"});
+    for (const auto& s : sources) o.res.contributions.emplace_back(s.label, 0.0);
+  }
 
   PhaseClock clock(opt.dc.record);
-
-  for (size_t i = 0; i < freqs.size(); ++i) {
+  std::vector<phys::Complex> x;
+  std::vector<double> row, psd_now(sources.size());
+  for (std::size_t i = 0; i < freqs.size(); ++i) {
     const double f = freqs[i];
-    const double omega = 2.0 * M_PI * f;
-    // Cooperative deadline/cancel poll, mirroring the Newton, transient
-    // and AC-sweep loops.
-    if (opt.dc.cancel) opt.dc.cancel->throw_if_stopped("noise");
+    // Cooperative deadline/cancel poll, mirroring the Newton and transient
+    // loops: a long pass on a huge system stays bounded.
+    if (opt.dc.cancel) opt.dc.cancel->throw_if_stopped("ac");
     clock.start();
-    CARBON_REQUIRE(sys.assemble_factor(omega),
-                   "noise_sweep: singular small-signal system");
+    CARBON_REQUIRE(sys.assemble_factor(2.0 * M_PI * f),
+                   "singular small-signal system");
     clock.lap(SolveRecord::kFactor);
-
-    // Forward solve: gain from the designated input to the output node.
-    x = sys.stimulus();
-    sys.solve_in_place(x);
-    const double gain2 = std::norm(x[out - 1]);
-
-    // Adjoint solve: y[j] = transfer from a unit current injected at MNA
-    // row j to V(out) — every noise source's transfer in one solve.
-    std::fill(y.begin(), y.end(), phys::Complex{});
-    y[out - 1] = phys::Complex{1.0, 0.0};
-    sys.solve_transpose_in_place(y);
-    clock.lap(SolveRecord::kSolve);  // forward + adjoint solves
-    clock.span_since_start("noise-point");
-
-    double s_out = 0.0;
-    for (size_t k = 0; k < sources.size(); ++k) {
-      const NoiseSource& src = sources[k];
-      const phys::Complex t =
-          (src.n_plus > 0 ? y[src.n_plus - 1] : phys::Complex{}) -
-          (src.n_minus > 0 ? y[src.n_minus - 1] : phys::Complex{});
-      psd_now[k] = src.psd_a2_hz(f) * std::norm(t);
-      s_out += psd_now[k];
+    if (ac_input) {
+      x = sys.stimulus();
+      sys.solve_in_place(x);
     }
-    const double s_in = s_out / std::max(gain2, 1e-300);
-    res.table.add_row({f, s_out, s_in, std::sqrt(gain2)});
+    // Adjoint solve: y[j] = transfer from a unit current injected at MNA
+    // row j to V(out) — every noise source's transfer, and at the input's
+    // branch row the input's gain, in one solve.
+    for (NoiseOutput& o : outs) {
+      std::fill(o.y.begin(), o.y.end(), phys::Complex{});
+      o.y[o.out - 1] = phys::Complex{1.0, 0.0};
+      sys.solve_transpose_in_place(o.y);
+    }
+    clock.lap(SolveRecord::kSolve);
+    clock.span_since_start("ac-point");
 
+    if (ac_input) {
+      row.assign(1, f);
+      for (const NodeId id : probe_ids) {
+        const phys::Complex v = (id == 0) ? phys::Complex{} : x[id - 1];
+        row.push_back(std::abs(v));
+        row.push_back(std::arg(v) * 180.0 / M_PI);
+      }
+      res.ac.add_row(row);
+    }
     // Integrate: flat extension of the first point down to DC, trapezoid
     // across the band.
-    if (i == 0) {
-      res.onoise_total_v2 += s_out * f;
-      res.inoise_total_v2 += s_in * f;
-      for (size_t k = 0; k < sources.size(); ++k) {
-        res.contributions[k].second += psd_now[k] * f;
+    const double df = i == 0 ? f : 0.5 * (f - freqs[i - 1]);
+    for (NoiseOutput& o : outs) {
+      double s_out = 0.0;
+      for (std::size_t k = 0; k < sources.size(); ++k) {
+        const NoiseSource& src = sources[k];
+        const phys::Complex t =
+            (src.n_plus > 0 ? o.y[src.n_plus - 1] : phys::Complex{}) -
+            (src.n_minus > 0 ? o.y[src.n_minus - 1] : phys::Complex{});
+        psd_now[k] = src.psd_a2_hz(f) * std::norm(t);
+        s_out += psd_now[k];
+        o.res.contributions[k].second += (o.psd_prev[k] + psd_now[k]) * df;
       }
-    } else {
-      const double half_df = 0.5 * (f - f_prev);
-      res.onoise_total_v2 += (onoise_prev + s_out) * half_df;
-      res.inoise_total_v2 += (inoise_prev + s_in) * half_df;
-      for (size_t k = 0; k < sources.size(); ++k) {
-        res.contributions[k].second += (psd_prev[k] + psd_now[k]) * half_df;
-      }
+      const double gain2 = std::norm(o.y[o.input_row]);
+      const double s_in = s_out / std::max(gain2, 1e-300);
+      o.res.table.add_row({f, s_out, s_in, std::sqrt(gain2)});
+      o.res.onoise_total_v2 += (o.onoise_prev + s_out) * df;
+      o.res.inoise_total_v2 += (o.inoise_prev + s_in) * df;
+      o.onoise_prev = s_out;
+      o.inoise_prev = s_in;
+      o.psd_prev.swap(psd_now);
     }
-    onoise_prev = s_out;
-    inoise_prev = s_in;
-    f_prev = f;
-    psd_prev.swap(psd_now);
   }
+  for (NoiseOutput& o : outs) res.noise.push_back(std::move(o.res));
   return res;
+}
+
+phys::DataTable ac_sweep(Circuit& ckt, VSource& input,
+                         const std::vector<std::string>& probes,
+                         const AcOptions& opt) {
+  return small_signal(ckt, &input, probes, {}, opt).ac;
+}
+
+NoiseResult noise_sweep(Circuit& ckt, VSource& input,
+                        const std::string& output_node,
+                        const AcOptions& opt) {
+  return std::move(
+      small_signal(ckt, nullptr, {}, {{&input, output_node}}, opt).noise[0]);
+}
+
+double corner_frequency(const phys::DataTable& ac,
+                        const std::string& mag_column) {
+  const std::vector<double> f = ac.column("freq_hz");
+  const std::vector<double> m = ac.column(mag_column);
+  CARBON_REQUIRE(!m.empty(), "empty AC table");
+  const double corner = m.front() / std::sqrt(2.0);
+  for (size_t i = 1; i < m.size(); ++i) {
+    if (m[i - 1] >= corner && m[i] < corner) {
+      // Log-interpolate the crossing.
+      const double t = (std::log(corner) - std::log(m[i - 1])) /
+                       (std::log(m[i]) - std::log(m[i - 1]));
+      return f[i - 1] * std::pow(f[i] / f[i - 1], t);
+    }
+  }
+  return -1.0;
 }
 
 }  // namespace carbon::spice

@@ -2,8 +2,8 @@
 
 /// @file smallsignal.h
 /// The small-signal subsystem: a complex MNA backend with the same
-/// symbolic-reuse discipline as the real Newton engine, plus the device
-/// noise analysis built on top of it.  This is the third analysis pillar
+/// symbolic-reuse discipline as the real Newton engine, and the one pass
+/// that runs .ac and .noise on it.  This is the third analysis pillar
 /// next to DC and transient — it backs the paper's RF/analog case for
 /// CNT/GNR FETs (transconductance roll-off, f_T, noise at scaled supplies).
 ///
@@ -17,10 +17,10 @@
 /// sparse LU on the pattern analyzed ONCE for the whole sweep (the MNA
 /// pattern is frequency-independent).
 ///
-/// noise_sweep() adds the classic adjoint-network method: per frequency,
-/// one transposed-system solve yields the transfer from every noise
-/// injection site to the output node simultaneously, so the cost is two
-/// triangular solves per point regardless of how many devices make noise.
+/// small_signal() runs .ac and .noise: per frequency one factorization,
+/// the forward solve and one adjoint (transposed) solve per noise output,
+/// whose solution is the transfer from every noise source and from the
+/// input to that output (Rohrer, Nagel, Meyer, Weber, JSSC 6(4), 1971).
 
 #include <cstdint>
 #include <string>
@@ -53,8 +53,6 @@ class AcSystem {
   void build(Circuit& ckt, const std::vector<double>& x_dc);
 
   int size() const { return n_; }
-  /// Structural nonzeros of the complex Jacobian.
-  int nnz() const { return smat_.nnz(); }
 
   /// Assemble the system at angular frequency @p omega (restore the G
   /// baseline, add jωC through the recorded slots) and factor it.
@@ -62,11 +60,15 @@ class AcSystem {
   bool assemble_factor(double omega);
 
   /// Solve A x = b in place.  assemble_factor() must have succeeded.
-  void solve_in_place(std::vector<phys::Complex>& bx) const;
+  void solve_in_place(std::vector<phys::Complex>& bx) const {
+    slu_.solve_in_place(bx);
+  }
 
   /// Adjoint solve Aᵀ x = b in place (plain transpose): the noise
   /// analysis' one-solve-per-frequency transfer evaluation.
-  void solve_transpose_in_place(std::vector<phys::Complex>& bx) const;
+  void solve_transpose_in_place(std::vector<phys::Complex>& bx) const {
+    slu_.solve_transpose_in_place(bx);
+  }
 
   /// The captured stimulus vector (frequency-independent): solve this to
   /// get the response to the designated AC inputs.
@@ -95,27 +97,33 @@ class AcSystem {
 };
 
 /// Log-spaced frequency grid with @p points_per_decade, endpoints
-/// inclusive — the grid ac_sweep and noise_sweep march.
+/// inclusive — the grid a small-signal pass marches.
 std::vector<double> log_frequency_grid(double f_start_hz, double f_stop_hz,
                                        int points_per_decade);
 
-/// Options of a noise sweep.
-struct NoiseOptions {
+/// Options of a small-signal pass, .ac and .noise alike.
+struct AcOptions {
   double f_start_hz = 1e3;
   double f_stop_hz = 1e12;
   int points_per_decade = 10;
-  double temperature_k = 300.0;
+  double temperature_k = 300.0;  ///< of the noise sources
   SolverOptions dc;  ///< operating-point solver options
 
-  /// Optional caller-owned reuse state, mirroring AcOptions: the Newton
-  /// workspace backs the operating-point solve, the AcSystem carries the
-  /// complex pattern + symbolic analysis across sweeps of one topology.
-  /// Null = per-call locals.  Not owned.
+  /// Optional caller-owned reuse state (deck sessions): the Newton
+  /// workspace backs the operating-point solve, the AcSystem keeps its
+  /// captured footprint + complex symbolic analysis across passes of one
+  /// topology.  Null = per-call locals.  Not owned.
   NewtonWorkspace* workspace = nullptr;
   AcSystem* system = nullptr;
 };
 
-/// Result of a noise sweep.
+/// One .noise output of a small-signal pass and its input source.
+struct NoiseRequest {
+  const VSource* input = nullptr;
+  std::string output;
+};
+
+/// Result of a noise analysis.
 struct NoiseResult {
   /// Columns: freq_hz, onoise_v2_hz (output noise PSD [V^2/Hz]),
   /// inoise_v2_hz (input-referred PSD), gain_mag (|H| input -> output).
@@ -134,14 +142,28 @@ struct NoiseResult {
   std::vector<std::pair<std::string, double>> contributions;
 };
 
-/// Small-signal noise analysis: collect every element's noise sources at
-/// the DC operating point, propagate each to @p output_node via one
-/// adjoint solve per frequency, and report output and input-referred
-/// spectral densities plus integrated totals.  @p input only defines the
-/// gain reference for input-referred noise (its AC magnitude is treated
-/// as 1); it contributes no noise itself.
+struct SmallSignalResult {
+  /// Columns: freq_hz, then |v(<probe>)| and phase_deg(<probe>) per probe;
+  /// empty without an .ac input.
+  phys::DataTable ac;
+  std::vector<NoiseResult> noise;  ///< one per NoiseRequest, in order
+};
+
+/// The small-signal pass over one frequency grid.  .ac: @p ac_input is the
+/// unit-magnitude stimulus (other sources keep their magnitudes; the
+/// input's own comes back when the pass returns or throws) and @p probes
+/// the recorded nodes; null = no forward solve.  .noise: every element's
+/// noise sources at the operating point, propagated to each output, with
+/// output and input-referred densities and integrated totals.  The gain is
+/// the transfer from the request's input alone; it makes no noise itself.
+SmallSignalResult small_signal(Circuit& ckt, VSource* ac_input,
+                               const std::vector<std::string>& probes,
+                               const std::vector<NoiseRequest>& noise,
+                               const AcOptions& opt = {});
+
+/// The small-signal pass for one noise output.
 NoiseResult noise_sweep(Circuit& ckt, VSource& input,
                         const std::string& output_node,
-                        const NoiseOptions& opt = {});
+                        const AcOptions& opt = {});
 
 }  // namespace carbon::spice

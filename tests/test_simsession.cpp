@@ -12,6 +12,7 @@
 
 #include "core/report.h"
 #include "device/alpha_power.h"
+#include "obs/trace.h"
 #include "phys/cancel.h"
 #include "spice/session.h"
 
@@ -202,6 +203,21 @@ const MalformedCase kMalformedDecks[] = {
      1, "v1 a 0 pulse(0 {0/0} 1n 1n 1n 5n 10n)", "source value must be finite",
      "v1 a 0 pulse(0 1 1n 1n 1n 5n 10n)\nr1 a b 1k\nc1 b 0 1p\n"
      ".tran 1n 10n\n"},
+    // Waveform arguments no waveform accepts: zero slews, a period shorter
+    // than one cycle, a zero frequency, a PWL time that does not increase.
+    {"v1 a 0 pulse(0 1 0 0 0 1n 2n)\nr1 a b 1k\nc1 b 0 1p\n.tran 1p 1n\n",
+     1, "v1 a 0 pulse(0 1 0 0 0 1n 2n)", "PULSE wants rise, fall > 0",
+     "v1 a 0 pulse(0 1 0 1p 1p 1n 2n)\nr1 a b 1k\nc1 b 0 1p\n.tran 1p 1n\n"},
+    {"v1 a 0 pulse(0 1 0 1n 1n 5n 2n)\nr1 a b 1k\nc1 b 0 1p\n.tran 1p 1n\n",
+     1, "v1 a 0 pulse(0 1 0 1n 1n 5n 2n)",
+     "period >= rise + fall + width",
+     "v1 a 0 pulse(0 1 0 1n 1n 5n 8n)\nr1 a b 1k\nc1 b 0 1p\n.tran 1p 1n\n"},
+    {"v1 a 0 sin(0 1 0)\nr1 a b 1k\nc1 b 0 1p\n.tran 1p 1n\n", 1,
+     "v1 a 0 sin(0 1 0)", "SIN frequency must be > 0",
+     "v1 a 0 sin(0 1 1g)\nr1 a b 1k\nc1 b 0 1p\n.tran 1p 1n\n"},
+    {"v1 a 0 pwl(0 0 0 1)\nr1 a b 1k\nc1 b 0 1p\n.tran 1p 1n\n", 1,
+     "v1 a 0 pwl(0 0 0 1)", "PWL times must be strictly increasing",
+     "v1 a 0 pwl(0 0 1n 1)\nr1 a b 1k\nc1 b 0 1p\n.tran 1p 1n\n"},
     {"v1 a 0 dc 0 ac {0/0}\nr1 a b 1k\nc1 b 0 1n\n.ac dec 10 1 1meg\n", 1,
      "v1 a 0 dc 0 ac {0/0}", "ac magnitude must be finite",
      "v1 a 0 dc 0 ac 1\nr1 a b 1k\nc1 b 0 1n\n.ac dec 10 1 1meg\n"},
@@ -262,9 +278,9 @@ TEST(SimSession, MalformedValuesFailAlikeOnACachedTopology) {
 
 TEST(SimSession, AnalysesLeaveTheCircuitAsTheyFoundIt) {
   // One retune serves every analysis of a step point, so each analysis
-  // must put back what it moves: .dc its swept source, .ac and .noise the
-  // input's AC magnitude.  Analyses after them must read as they do alone:
-  // the .op, and the .noise, whose gain sees every source's AC magnitude.
+  // must put back what it moves: .dc its swept source, .ac the input's AC
+  // magnitude.  Analyses after them must read as they do alone: the .op,
+  // and the .noise, which shares the .ac card's small-signal pass.
   const std::string circuit =
       "v1 in 0 dc 1 ac 1\nv2 b 0 0.5\nr1 in out 1k\nr2 b out 10k\n"
       "c1 out 0 1n\nd1 out 0\n.probe v(out) i(v1)\n";
@@ -285,6 +301,81 @@ TEST(SimSession, AnalysesLeaveTheCircuitAsTheyFoundIt) {
   EXPECT_EQ(analyses.at(2).dump(), alone(noise));
   EXPECT_EQ(analyses.at(3).dump(), alone(".op\n"));
   EXPECT_EQ(analyses.at(4).dump(), analyses.at(1).dump());
+}
+
+/// Column @p name of a rendered analysis table; empty when it has none.
+std::vector<double> column(const Json& table, const std::string& name) {
+  const Json& cols = table["columns"];
+  std::vector<double> out;
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    if (cols.at(c).as_string() != name) continue;
+    for (std::size_t r = 0; r < table["rows"].size(); ++r) {
+      out.push_back(table["rows"].at(r).at(c).as_double());
+    }
+  }
+  return out;
+}
+
+TEST(SimSession, NoiseGainIsTheTransferFromItsInput) {
+  // v1 carries the deck's AC magnitude, but the .noise input is v2: the
+  // gain that refers the noise to v2 is v2's transfer alone, the .ac
+  // response of the circuit in which only v2 carries `ac 1`.
+  const std::string circuit = "r1 in out 1k\nr2 b out 10k\nc1 out 0 1n\n";
+  sp::SimSession session;
+  const Json noise = session.run_deck_text(
+      "v1 in 0 dc 1 ac 1\nv2 b 0 dc 0.5\n" + circuit +
+      ".noise v(out) v2 dec 1 1k 1meg\n");
+  ASSERT_TRUE(noise["ok"].as_bool()) << noise.dump(1);
+  const Json ac = session.run_deck_text("v1 in 0 dc 1\nv2 b 0 dc 0.5 ac 1\n" +
+                                        circuit + ".ac dec 1 1k 1meg\n");
+  ASSERT_TRUE(ac["ok"].as_bool()) << ac.dump(1);
+  const std::vector<double> gain =
+      column(noise["steps"].at(0)["analyses"].at(0)["table"], "gain_mag");
+  const std::vector<double> mag =
+      column(ac["steps"].at(0)["analyses"].at(0)["table"], "mag(out)");
+  ASSERT_EQ(gain.size(), 4u);
+  ASSERT_EQ(mag.size(), gain.size());
+  for (std::size_t i = 0; i < gain.size(); ++i) {
+    EXPECT_NEAR(gain[i], mag[i], 1e-12 * mag[i]) << "row " << i;
+  }
+  EXPECT_NEAR(gain[0], 1.0 / 11.0, 1e-4);  // R1 / (R1 + R2) at 1 kHz
+}
+
+TEST(SimSession, AcAndNoiseOnOneGridShareEachFactorization) {
+  // One small-signal pass serves an .ac and a .noise card on one grid: one
+  // point span, and so one factorization, per frequency.  The noise gain
+  // is the .ac transfer of the same input.
+  const std::string deck =
+      "v1 in 0 dc 0 ac 1\nr1 in out 1k\nc1 out 0 1n\n"
+      ".ac dec 10 1k 1meg\n.noise v(out) v1 dec 10 1k 1meg\n";
+  sp::SimSession session;
+  carbon::obs::Tracer tracer;
+  Json doc;
+  {
+    carbon::obs::TraceAttach attach(&tracer);
+    doc = session.run_deck_text(deck);
+  }
+  ASSERT_TRUE(doc["ok"].as_bool()) << doc.dump(1);
+  const Json& analyses = doc["steps"].at(0)["analyses"];
+  const std::vector<double> mag = column(analyses.at(0)["table"], "mag(out)");
+  const std::vector<double> gain =
+      column(analyses.at(1)["table"], "gain_mag");
+  ASSERT_EQ(mag.size(), 31u);
+  ASSERT_EQ(gain.size(), mag.size());
+  for (std::size_t i = 0; i < gain.size(); ++i) {
+    EXPECT_NEAR(gain[i], mag[i], 1e-12 * mag[i]) << "row " << i;
+  }
+
+  const Json trace = Json::parse(tracer.chrome_json_text());
+  const Json& events = trace["traceEvents"];
+  std::size_t points = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const std::string name = events.at(i)["name"].as_string();
+    if (name.size() > 6 && name.compare(name.size() - 6, 6, "-point") == 0) {
+      ++points;
+    }
+  }
+  EXPECT_EQ(points, mag.size());
 }
 
 /// @p doc without what depends on the session's history: the session
@@ -393,15 +484,26 @@ TEST(SimSession, MeasureFailuresAreNullNotFatal) {
       "v1 in 0 1\n"
       "r1 in out 1k\n"
       "r2 out 0 1k\n"
+      "c1 out 0 1p\n"
       ".op\n"
+      ".tran 10p 1n\n"
       ".measure op vout value v(out)\n"
       ".measure op vmissing value v(nosuchnode)\n"
+      ".measure tran nocolumn max v(nosuch)\n"
+      ".measure tran nowindow max v(out) from=2n to=3n\n"
+      ".measure tran nocycles period v(out) mid=0.25\n"
       ".end\n");
   ASSERT_TRUE(doc["ok"].as_bool()) << doc.dump(1);
   const Json& step = doc["steps"].at(0);
   EXPECT_NEAR(step["measures"]["vout"].as_double(), 0.5, 1e-12);
-  EXPECT_TRUE(step["measures"]["vmissing"].is_null());
-  EXPECT_TRUE(step["measure_errors"].find("vmissing") != nullptr);
+  for (const char* m : {"vmissing", "nocolumn", "nowindow", "nocycles"}) {
+    EXPECT_TRUE(step["measures"][m].is_null()) << m;
+    EXPECT_TRUE(step["measure_errors"].find(m) != nullptr) << m;
+  }
+  EXPECT_NE(step["measure_errors"]["nocolumn"].as_string().find("v(nosuch)"),
+            std::string::npos);
+  // Client-visible text names the deck, never a server source file.
+  EXPECT_EQ(doc.dump().find("/src/"), std::string::npos) << doc.dump(1);
 }
 
 TEST(SimSession, ProbeNoneSuppressesTables) {

@@ -210,7 +210,7 @@ TEST(Noise, ResistorDividerMatches4kTParallelR) {
   ckt.add_resistor("r1", "in", "out", 1e3);
   ckt.add_resistor("r2", "out", "0", 3e3);
 
-  sp::NoiseOptions opt;
+  sp::AcOptions opt;
   opt.f_start_hz = 1e3;
   opt.f_stop_hz = 1e6;
   opt.points_per_decade = 3;
@@ -246,7 +246,7 @@ TEST(Noise, RcIntegratedOutputNoiseIsKtOverC) {
   ckt.add_capacitor("c1", "out", "0", 1e-9);
 
   const double fc = 1.0 / (2.0 * M_PI * 1e3 * 1e-9);  // 159.2 kHz
-  sp::NoiseOptions opt;
+  sp::AcOptions opt;
   opt.f_start_hz = fc / 100.0;
   opt.f_stop_hz = 1000.0 * fc;
   opt.points_per_decade = 20;
@@ -267,7 +267,7 @@ TEST(Noise, DiodeShotNoiseMatchesAnalytic) {
   const double i_d = (1.0 - vd) / 1e4;
   ASSERT_GT(i_d, 1e-6);  // forward biased
 
-  sp::NoiseOptions opt;
+  sp::AcOptions opt;
   opt.f_start_hz = 1e3;
   opt.f_stop_hz = 1e4;
   opt.points_per_decade = 2;
@@ -304,7 +304,7 @@ TEST(Noise, CommonSourceChannelThermalMatchesSmallSignal) {
   const double vd = sp::node_voltage(ckt, sol, "d");
   const dev::DeviceEval e = m->eval(0.45, vd);
 
-  sp::NoiseOptions opt;
+  sp::AcOptions opt;
   opt.f_start_hz = 1e3;
   opt.f_stop_hz = 1e4;
   opt.points_per_decade = 2;
@@ -339,7 +339,7 @@ TEST(Noise, FetFlickerHasOneOverFSlope) {
   ckt.add_resistor("rl", "vdd", "d", 2e3);
   ckt.add_fet("m1", "d", "g", "0", m);
 
-  sp::NoiseOptions opt;
+  sp::AcOptions opt;
   opt.f_start_hz = 1.0;
   opt.f_stop_hz = 100.0;
   opt.points_per_decade = 1;

@@ -3,14 +3,15 @@
 
 Boots the daemon on an ephemeral TCP port with the fault-injection models
 registered, then hammers it from concurrent client threads with the full
-fault mix — good decks, parse errors (overflowing .step/.dc grids and
-out-of-range element values among them), NaN solve failures, injected
-hangs under tight deadlines, oversized requests and mid-request
-disconnects — and asserts the
-robustness contract:
+fault mix — good decks (an .ac+.noise deck with a measure over a
+missing column among them), parse errors (overflowing .step/.dc grids,
+out-of-range element values and waveform arguments among them), NaN
+solve failures, injected hangs under tight deadlines, oversized requests
+and mid-request disconnects — and asserts the robustness contract:
 
   * every request on a surviving connection yields exactly one JSON
     document (ok, or a structured error of the expected type);
+  * no reply names a server source file (no "/src/" anywhere);
   * a half-closed client (shutdown(SHUT_WR) after its run, as nc -N does)
     still gets exactly one document, then the daemon closes;
   * hung solves come back as bounded {"type":"timeout"} documents;
@@ -60,8 +61,18 @@ DC_DECK = "v1 a 0 1\nr1 a 0 1k\n.dc v1 0 1e9 1e-3\n"
 NEG_R_DECK = "v1 in 0 1\nr1 in out -1k\nr2 out 0 1k\n.op\n.end\n"
 INF_DECK = "v1 in 0 1e300t\nr1 in out 1k\nr2 out 0 1k\n.op\n.end\n"
 NAN_SOURCE_DECK = "v1 in 0 {0/0}\nr1 in out 1k\nr2 out 0 1k\n.op\n.end\n"
+PULSE_DECK = ("v1 in 0 pulse(0 1 0 0 0 1n 2n)\nr1 in out 1k\nr2 out 0 1k\n"
+              ".op\n.end\n")
 PARSE_DECKS = [PARSE_DECK, STEP_DECK, DC_DECK, NEG_R_DECK, INF_DECK,
-               NAN_SOURCE_DECK]
+               NAN_SOURCE_DECK, PULSE_DECK]
+# One small-signal pass serves both cards; the second measure reads a
+# column the .ac table lacks and must come back null, not fail the deck.
+AC_DECK = (
+    "v1 in 0 dc 0 ac 1\nr1 in out 1k\nc1 out 0 1n\n"
+    ".ac dec 10 1k 1meg\n.noise v(out) v1 dec 10 1k 1meg\n"
+    ".measure ac f3db corner v(out)\n.measure ac missing max v(nosuch)\n"
+    ".end\n"
+)
 NAN_DECK = "v1 d 0 1\nv2 g 0 1\nm1 d g 0 nanfet\n.op\n.end\n"
 # A transient on a stalling FET: every accepted step burns a stalled
 # eval, so the run cannot finish inside the deadline below.
@@ -105,6 +116,8 @@ class Client:
                 return None
             self.buf += chunk
         line, self.buf = self.buf.split(b"\n", 1)
+        if b"/src/" in line:
+            fail("reply names a source file: " + line[:200].decode())
         return json.loads(line)
 
     def rpc(self, obj):
@@ -162,6 +175,16 @@ def client_mix(port, seed, rounds):
                         fail(f"good deck: vout {vout} != 0.5")
                     if doc.get("id") != i:
                         fail("good deck: response id not echoed")
+                doc = c.rpc({"type": "run", "deck": AC_DECK})
+                expect_type(doc, "ok", "ac+noise deck")
+                if doc and doc.get("ok"):
+                    step = doc["steps"][0]
+                    if step["measures"]["missing"] is not None or \
+                            "missing" not in step.get("measure_errors", {}):
+                        fail("ac+noise deck: missing column measure not "
+                             "null: " + json.dumps(step)[:200])
+                    if abs(step["measures"]["f3db"] / 159155.0 - 1) > 0.05:
+                        fail(f"ac+noise deck: f3db {step['measures']['f3db']}")
             elif kind == 1:
                 for deck in PARSE_DECKS:
                     expect_type(c.rpc({"type": "run", "deck": deck}),

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "serve/framing.h"
+#include "spice/model_store.h"
 
 #ifndef POLLRDHUP
 #define POLLRDHUP 0  // non-Linux fallback: rely on POLLERR/POLLHUP only
@@ -140,6 +141,26 @@ struct Server::WorkerState {
   spice::SolveRecord exported_phases{};
 };
 
+/// The process-wide spice::ModelStore's counters.  The store counts on its
+/// own; the exposition copies its figures in.
+struct Server::StoreInstruments {
+  explicit StoreInstruments(obs::MetricsRegistry& m)
+      : hits(m.counter("carbon_model_store_total", "event=\"hit\"",
+                       "Process-wide device-model store events")),
+        builds(m.counter("carbon_model_store_total", "event=\"build\"")),
+        evictions(
+            m.counter("carbon_model_store_total", "event=\"eviction\"")),
+        entries(m.gauge("carbon_model_store_entries", "",
+                        "Device models in the process-wide store")) {}
+
+  obs::Counter& hits;
+  obs::Counter& builds;
+  obs::Counter& evictions;
+  obs::Gauge& entries;
+  /// The store figures the counters hold (touched by exposition only).
+  spice::ModelStoreStats exported{};
+};
+
 /// The state a lent connection shares with the worker holding its request.
 /// The I/O thread frees it only after the worker handed the fd back, so
 /// neither side can touch it after the other let go.
@@ -170,6 +191,7 @@ Server::Server(ServerConfig cfg)
   for (int i = 0; i < cfg_.workers; ++i) {
     worker_states_.push_back(std::make_unique<WorkerState>(metrics_, i));
   }
+  store_inst_ = std::make_unique<StoreInstruments>(metrics_);
 }
 
 Server::~Server() {
@@ -650,6 +672,14 @@ Json Server::health_doc() const {
   cache.set("entries", entries);
   server.set("session_cache", std::move(cache));
 
+  const spice::ModelStoreStats ms = spice::ModelStore::instance().stats();
+  auto store = Json::object();
+  store.set("hits", ms.hits);
+  store.set("builds", ms.builds);
+  store.set("evictions", ms.evictions);
+  store.set("entries", ms.entries);
+  server.set("model_store", std::move(store));
+
   auto doc = Json::object();
   doc.set("ok", true);
   doc.set("type", "health");
@@ -658,8 +688,16 @@ Json Server::health_doc() const {
 }
 
 Json Server::metrics_doc() const {
-  // Pull gauges only the scrape observes up to date first.
+  // Pull gauges and the model store's figures only the scrape observes up
+  // to date first.
   inst_.queue_depth.set(static_cast<long>(queue_.depth()));
+  const spice::ModelStoreStats ms = spice::ModelStore::instance().stats();
+  StoreInstruments& st = *store_inst_;
+  st.hits.inc(ms.hits - st.exported.hits);
+  st.builds.inc(ms.builds - st.exported.builds);
+  st.evictions.inc(ms.evictions - st.exported.evictions);
+  st.entries.set(ms.entries);
+  st.exported = ms;
   auto doc = Json::object();
   doc.set("ok", true);
   doc.set("type", "metrics");

@@ -52,8 +52,8 @@
 /// Responses echo "id" verbatim when present.  Run responses are the
 /// SimSession document (ok / error.type in {parse, solve_failure,
 /// timeout, cancelled, internal}); health responses expose queue depth,
-/// in-flight count, per-outcome counters and aggregated session-cache
-/// stats.
+/// in-flight count, per-outcome counters, aggregated session-cache stats
+/// and the process-wide model store's (spice/model_store.h).
 
 #include <array>
 #include <atomic>
@@ -194,6 +194,7 @@ class Server {
 
  private:
   struct WorkerState;
+  struct StoreInstruments;
   struct Lease;
   struct Conn;
 
@@ -239,6 +240,8 @@ class Server {
   std::thread io_thread_;
   std::vector<std::thread> worker_threads_;
   std::vector<std::unique_ptr<WorkerState>> worker_states_;
+  /// Registered after the per-worker gauges; refreshed at exposition time.
+  std::unique_ptr<StoreInstruments> store_inst_;
 };
 
 }  // namespace carbon::serve

@@ -263,8 +263,6 @@ class Capacitor final : public Element {
   /// Retarget the capacitance / initial condition in place (deck retune).
   void set_capacitance(double farad) { farad_ = farad; }
   void set_v_init(double v) { v_init_ = v; }
-  /// Current charging current (after accept_step) [A].
-  double branch_current() const { return i_prev_; }
 
  private:
   double farad_;

@@ -57,8 +57,6 @@ class LteController {
   /// accepted so the engine cannot stall.  Stateless deadbeat rule.
   Decision decide(double dt, double err_ratio, int error_order) const;
 
-  const LteControlConfig& config() const { return cfg_; }
-
  private:
   LteControlConfig cfg_;
 };

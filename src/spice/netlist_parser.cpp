@@ -5,12 +5,15 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <sstream>
 
 #include "device/alpha_power.h"
 #include "device/cntfet.h"
 #include "device/linear_fet.h"
+#include "device/tabulated.h"
 #include "phys/require.h"
+#include "spice/model_store.h"
 
 namespace carbon::spice {
 
@@ -835,6 +838,14 @@ std::vector<ParamEnv> resolve_scopes(const Deck& deck,
 
 // --- device model construction ---------------------------------------------
 
+/// Most conduction subbands a cnfet/cpfet card may keep: a build grows with
+/// them (0.17 s at 30 subbands, 2.7 s at 300).
+constexpr int kMaxCntSubbands = 32;
+
+/// Smallest CNT table box [V]: a deck whose sources stay below it, or that
+/// has none, still gets a grid its bicubic cells can resolve.
+constexpr double kMinTableBoxV = 0.1;
+
 std::map<std::string, double> eval_model_options(const ModelCard& mc,
                                                  const ParamEnv& env) {
   std::map<std::string, double> out;
@@ -844,30 +855,64 @@ std::map<std::string, double> eval_model_options(const ModelCard& mc,
   return out;
 }
 
-device::DeviceModelPtr build_model(const ModelCard& mc, const ParamEnv& env) {
+/// The model of a .model card at one step point, from the process-wide
+/// ModelStore.  The values are checked first, naming the option and the
+/// card's line, against everything the model constructors refuse, so no
+/// client value can make a shared build throw.  cnfet/cpfet cards compile
+/// the CNT-FET to a bicubic table over the bias box @p box (table_box()).
+device::DeviceModelPtr deck_model(const ModelCard& mc, const ParamEnv& env,
+                                  double box) {
   namespace dev = carbon::device;
   auto opts = eval_model_options(mc, env);
-  auto take = [&](const char* key, double fallback) {
-    const auto it = opts.find(key);
-    if (it == opts.end()) return fallback;
-    const double v = it->second;
-    opts.erase(it);
+  const auto refuse = [&](const std::string& what) {
+    fail(mc.line_no, mc.line, ".model option " + what);
+  };
+  const auto check = [&](bool ok, const char* what) {
+    if (!ok) refuse(what);
+  };
+  for (const auto& [k, v] : opts) {
+    if (!std::isfinite(v)) refuse(k + " must be finite");
+  }
+
+  const std::string& t = mc.type;
+  const bool p_type = t == "alphap" || t == "pfet" || t == "linp" ||
+                      t == "cpfet";
+  const std::string family = t == "linn" || t == "linp"       ? "linn"
+                             : t == "cnfet" || t == "cpfet" ? "cnfet"
+                                                            : "alphan";
+  // The store key: the n-type family, then every parameter value taken,
+  // defaults included, as its bytes (exact, and no formatting per card).
+  std::string key = family;
+  const auto append = [&](const char* k, double v) {
+    key += '|';
+    key += k;
+    key += '=';
+    key.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  auto take = [&](const char* k, double fallback) {
+    double v = fallback;
+    const auto it = opts.find(k);
+    if (it != opts.end()) {
+      v = it->second;
+      opts.erase(it);
+    }
+    append(k, v);
     return v;
   };
   // Noise options are common to every family.
   dev::NoiseParams noise;
-  const double gamma = take("gamma", noise.gamma);
-  const double kf = take("kf", noise.kf);
-  const double af = take("af", noise.af);
-  const bool has_noise = gamma != noise.gamma || kf != 0.0 || af != 1.0;
+  const dev::NoiseParams quiet;
+  noise.gamma = take("gamma", quiet.gamma);
+  noise.kf = take("kf", quiet.kf);
+  noise.af = take("af", quiet.af);
+  check(noise.gamma >= 0.0, "gamma must be >= 0");
+  check(noise.kf >= 0.0, "kf must be >= 0");
+  check(noise.af > 0.0, "af must be > 0");
 
-  dev::DeviceModelPtr model;
-  bool p_type = false;
-  const std::string& t = mc.type;
-  if (t == "alphan" || t == "alphap" || t == "nfet" || t == "pfet") {
-    p_type = t == "alphap" || t == "pfet";
+  std::function<dev::DeviceModelPtr()> build;
+  if (family == "alphan") {
     dev::AlphaPowerParams p;
-    p.name = mc.name;
+    p.name = family;
     p.v_t = take("vt", p.v_t);
     p.alpha = take("alpha", p.alpha);
     p.k_sat = take("k", p.k_sat);
@@ -875,53 +920,83 @@ device::DeviceModelPtr build_model(const ModelCard& mc, const ParamEnv& env) {
     p.ss_mv_dec = take("ss", p.ss_mv_dec);
     p.i_off_floor = take("ioff", p.i_off_floor);
     p.width = take("w", p.width);
-    model = std::make_shared<dev::AlphaPowerModel>(p);
-  } else if (t == "linn" || t == "linp") {
-    p_type = t == "linp";
+    check(p.alpha >= 1.0 && p.alpha <= 2.0, "alpha must be in [1, 2]");
+    check(p.k_sat > 0.0, "k must be > 0");
+    check(p.ss_mv_dec > 0.0, "ss must be > 0");
+    build = [p] { return std::make_shared<dev::AlphaPowerModel>(p); };
+  } else if (family == "linn") {
     dev::LinearFetParams p;
-    p.name = mc.name;
+    p.name = family;
     p.v_t = take("vt", p.v_t);
     p.k_s_per_v = take("k", p.k_s_per_v);
     p.smooth_v = take("smooth", p.smooth_v);
     p.g_off = take("goff", p.g_off);
     p.width = take("w", p.width);
-    model = std::make_shared<dev::LinearFetModel>(p);
-  } else if (t == "cnfet" || t == "cpfet") {
-    p_type = t == "cpfet";
-    dev::CntfetParams p = dev::make_franklin_cntfet_params(
-        take("l", 20e-9));
-    p.name = mc.name;
+    check(p.k_s_per_v > 0.0, "k must be > 0");
+    check(p.smooth_v > 0.0, "smooth must be > 0");
+    build = [p] { return std::make_shared<dev::LinearFetModel>(p); };
+  } else {
+    const double l = take("l", 20e-9);
+    check(l > 0.0, "l must be > 0");
+    dev::CntfetParams p = dev::make_franklin_cntfet_params(l);
+    p.name = family;
     p.ef_source_ev = take("ef", p.ef_source_ev);
     p.r_source_ohm = take("rs", p.r_source_ohm);
     p.r_drain_ohm = take("rd", p.r_drain_ohm);
     p.ballistic = take("ballistic", p.ballistic ? 1.0 : 0.0) != 0.0;
-    p.num_subbands = static_cast<int>(take("subbands", p.num_subbands));
-    model = std::make_shared<dev::CntfetModel>(std::move(p));
-  } else {
-    fail(mc.line_no, mc.line, "unknown .model type '" + t + "'");
+    const double subbands = take("subbands", p.num_subbands);
+    if (!(subbands >= 1.0 && subbands <= kMaxCntSubbands &&
+          subbands == std::floor(subbands))) {
+      refuse("subbands must be an integer in 1.." +
+             std::to_string(kMaxCntSubbands));
+    }
+    check(p.r_source_ohm >= 0.0, "rs must be >= 0");
+    check(p.r_drain_ohm >= 0.0, "rd must be >= 0");
+    p.num_subbands = static_cast<int>(subbands);
+    append("box", box);
+    // Unequal contacts break the source/drain exchange symmetry the
+    // mirrored table relies on: tabulate reverse bias too.
+    const bool symmetric = p.r_source_ohm == p.r_drain_ohm;
+    build = [p, box, symmetric] {
+      return dev::make_tabulated(std::make_shared<dev::CntfetModel>(p), box,
+                                 97, 65, symmetric);
+    };
   }
   if (!opts.empty()) {
     fail(mc.line_no, mc.line,
          "unknown .model option '" + opts.begin()->first + "' for type '" +
              t + "'");
   }
-  if (has_noise) {
-    noise.gamma = gamma;
-    noise.kf = kf;
-    noise.af = af;
-    model = dev::with_noise(std::move(model), noise);
-  }
+  const bool has_noise = noise.gamma != quiet.gamma ||
+                         noise.kf != quiet.kf || noise.af != quiet.af;
+  dev::DeviceModelPtr model = ModelStore::instance().get(key, [&] {
+    dev::DeviceModelPtr m = build();
+    return has_noise ? dev::with_noise(std::move(m), noise) : m;
+  });
   if (p_type) model = std::make_shared<dev::PTypeMirror>(std::move(model));
   return model;
 }
 
+/// The ModelMemo key of a .model card: "name|type|key=value..." over the
+/// card's evaluated options.
+std::string memo_key(const ModelCard& mc, const ParamEnv& env) {
+  std::ostringstream os;
+  os << mc.name << '|' << mc.type;
+  for (const auto& [k, v] : eval_model_options(mc, env)) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    os << '|' << k << '=' << buf;
+  }
+  return os.str();
+}
+
 /// Resolve an m-card model: deck-local .model cards shadow the base
-/// registry.  Deck models are memoized on (name, evaluated options) so a
-/// stepped deck rebuilds a (possibly expensive) model only when a stepped
-/// parameter actually reaches it.
-device::DeviceModelPtr resolve_model(
-    const Deck& deck, const ModelRegistry& base, const ElementCard& card,
-    const ParamEnv& env, std::map<std::string, device::DeviceModelPtr>* memo) {
+/// registry and come from the ModelStore; @p memo records them.
+device::DeviceModelPtr resolve_model(const Deck& deck,
+                                     const ModelRegistry& base,
+                                     const ElementCard& card,
+                                     const ParamEnv& env, double box,
+                                     ModelMemo* memo) {
   const ModelCard* mc = nullptr;
   for (const ModelCard& m : deck.models) {
     if (m.name == card.model) mc = &m;
@@ -933,23 +1008,8 @@ device::DeviceModelPtr resolve_model(
     }
     return it->second;
   }
-  std::string key;
-  {
-    std::ostringstream os;
-    os << mc->name << '|' << mc->type;
-    for (const auto& [k, v] : eval_model_options(*mc, env)) {
-      char buf[40];
-      std::snprintf(buf, sizeof buf, "%.17g", v);
-      os << '|' << k << '=' << buf;
-    }
-    key = os.str();
-  }
-  if (memo) {
-    const auto it = memo->find(key);
-    if (it != memo->end()) return it->second;
-  }
-  device::DeviceModelPtr model = build_model(*mc, env);
-  if (memo) (*memo)[key] = model;
+  device::DeviceModelPtr model = deck_model(*mc, env, box);
+  if (memo) (*memo)[memo_key(*mc, env)] = model;
   return model;
 }
 
@@ -957,12 +1017,14 @@ device::DeviceModelPtr resolve_model(
 
 /// The waveform and AC magnitude of a v/i card, every value taken through
 /// @p finite (value token, what it is) -> its finite value, and the
-/// waveform arguments checked against what the waveform needs.
+/// waveform arguments checked against what the waveform needs.  @p peak,
+/// when given, receives the largest magnitude the waveform reaches.
 template <typename Finite>
 WaveformPtr build_wave(const ElementCard& card, const Finite& finite,
-                       double* ac_mag) {
+                       double* ac_mag, double* peak = nullptr) {
   *ac_mag = 0.0;
   WaveformPtr wave;
+  double top = 0.0;
   auto value = [&](const std::string& tok) {
     return finite(tok, "source value");
   };
@@ -983,6 +1045,7 @@ WaveformPtr build_wave(const ElementCard& card, const Finite& finite,
                "PULSE wants rise, fall > 0 and period >= rise + fall + width");
         }
         wave = pulse(v[0], v[1], v[2], v[3], v[4], v[5], v[6]);
+        top = std::max(std::abs(v[0]), std::abs(v[1]));
       } else if (tag == "sin") {
         if (v.size() < 3 || v.size() > 5) {
           fail(card.line_no, card.line, "SIN wants 3-5 arguments");
@@ -992,17 +1055,20 @@ WaveformPtr build_wave(const ElementCard& card, const Finite& finite,
         }
         wave = sine(v[0], v[1], v[2], v.size() > 3 ? v[3] : 0.0,
                     v.size() > 4 ? v[4] : 0.0);
+        top = std::abs(v[0]) + std::abs(v[1]);
       } else if (tag == "pwl") {
         if (v.size() < 4 || v.size() % 2 != 0) {
           fail(card.line_no, card.line, "PWL wants time/value pairs");
         }
         std::vector<std::pair<double, double>> pts;
+        top = 0.0;
         for (size_t k = 0; k < v.size(); k += 2) {
           if (k > 0 && !(v[k] > v[k - 2])) {
             fail(card.line_no, card.line,
                  "PWL times must be strictly increasing");
           }
           pts.emplace_back(v[k], v[k + 1]);
+          top = std::max(top, std::abs(v[k + 1]));
         }
         wave = pwl(std::move(pts));
       } else {
@@ -1016,6 +1082,7 @@ WaveformPtr build_wave(const ElementCard& card, const Finite& finite,
         fail(card.line_no, card.line, "missing DC value");
       }
       wave = dc(value(card.values[i]));
+      top = std::abs(wave->dc_value());
       continue;
     }
     if (word == "ac") {
@@ -1026,9 +1093,53 @@ WaveformPtr build_wave(const ElementCard& card, const Finite& finite,
       continue;
     }
     wave = dc(value(tok));
+    top = std::abs(wave->dc_value());
   }
   if (!wave) fail(card.line_no, card.line, "missing source value");
+  if (peak) *peak = top;
   return wave;
+}
+
+/// The bias box of the deck's CNT tables at one step point: the largest
+/// magnitude an independent voltage source reaches (its DC value, PULSE
+/// and PWL levels, SIN offset plus amplitude, the ends of a .dc sweep), at
+/// least kMinTableBoxV; 0 when no .model card is a CNT-FET.  A value that
+/// does not evaluate is left to its own card to report.
+double table_box(const Deck& deck, const std::vector<ParamEnv>& envs) {
+  if (std::none_of(deck.models.begin(), deck.models.end(),
+                   [](const ModelCard& mc) {
+                     return mc.type == "cnfet" || mc.type == "cpfet";
+                   })) {
+    return 0.0;
+  }
+  double box = kMinTableBoxV;
+  const auto finite = [](const std::string& expr, const ParamEnv& env) {
+    const double v = eval_expr(expr, env);
+    if (!std::isfinite(v)) throw ParseError("non-finite value");
+    return v;
+  };
+  for (const ElementCard& card : deck.elements) {
+    if (card.kind != 'v') continue;
+    const auto value = [&](const std::string& tok, const char*) {
+      return finite(tok, envs[card.scope]);
+    };
+    try {
+      double ac_mag = 0.0, peak = 0.0;
+      build_wave(card, value, &ac_mag, &peak);
+      box = std::max(box, peak);
+    } catch (const ParseError&) {
+    }
+  }
+  for (const AnalysisCard& a : deck.analyses) {
+    if (a.kind != AnalysisCard::Kind::kDc) continue;
+    for (const std::string* end : {&a.start_expr, &a.stop_expr}) {
+      try {
+        box = std::max(box, std::abs(finite(*end, envs.front())));
+      } catch (const ParseError&) {
+      }
+    }
+  }
+  return box;
 }
 
 }  // namespace
@@ -1101,7 +1212,7 @@ struct CardValues {
 
 CardValues eval_card(const Deck& deck, const ModelRegistry& base,
                      const ElementCard& card, const std::vector<ParamEnv>& envs,
-                     std::map<std::string, device::DeviceModelPtr>* memo) {
+                     double box, ModelMemo* memo) {
   const ParamEnv& env = envs[card.scope];
   auto value = [&](const std::string& tok) {
     return eval_card_value(tok, env, card.line_no, card.line);
@@ -1152,7 +1263,7 @@ CardValues eval_card(const Deck& deck, const ModelRegistry& base,
       }
       break;
     case 'm':
-      out.model = resolve_model(deck, base, card, env, memo);
+      out.model = resolve_model(deck, base, card, env, box, memo);
       if (const auto* m = find_option(card.options, "m")) {
         out.mult = positive(*m, "multiplier m");
       }
@@ -1170,9 +1281,10 @@ std::unique_ptr<Circuit> instantiate(const Deck& deck,
                                      const ParamEnv& overrides,
                                      ModelMemo* memo) {
   const std::vector<ParamEnv> envs = resolve_scopes(deck, overrides);
+  const double box = table_box(deck, envs);
   auto ckt = std::make_unique<Circuit>();
   for (const ElementCard& card : deck.elements) {
-    const CardValues v = eval_card(deck, models, card, envs, memo);
+    const CardValues v = eval_card(deck, models, card, envs, box, memo);
     switch (card.kind) {
       case 'r':
         ckt->add_resistor(card.name, card.nodes[0], card.nodes[1], v.ohms);
@@ -1208,12 +1320,13 @@ std::unique_ptr<Circuit> instantiate(const Deck& deck,
 void retune(const Deck& deck, const ModelRegistry& models,
             const ParamEnv& overrides, Circuit& ckt, ModelMemo* memo) {
   const std::vector<ParamEnv> envs = resolve_scopes(deck, overrides);
+  const double box = table_box(deck, envs);
   const auto& elements = ckt.elements();
   CARBON_REQUIRE(elements.size() == deck.elements.size(),
                  "retune: circuit does not match the deck's card list");
   for (size_t i = 0; i < deck.elements.size(); ++i) {
     const ElementCard& card = deck.elements[i];
-    const CardValues v = eval_card(deck, models, card, envs, memo);
+    const CardValues v = eval_card(deck, models, card, envs, box, memo);
     Element* el = elements[i].get();
     switch (card.kind) {
       case 'r':

@@ -32,8 +32,9 @@
 /// with engineering suffixes (f p n u m k meg mil g t, case-insensitive).
 ///
 /// Device models come from `.model` cards (alphan/alphap, linn/linp,
-/// cnfet/cpfet families) or from a registry of IDeviceModel instances
-/// supplied by the embedding program (the parser cannot invent physics).
+/// cnfet/cpfet families), each built once per process by the ModelStore
+/// (model_store.h), or from a registry of IDeviceModel instances supplied
+/// by the embedding program (the parser cannot invent physics).
 
 #include <cstdint>
 #include <map>
@@ -120,9 +121,10 @@ struct ElementCard {
 
 /// One `.model <name> <type>(key=val ...)` card.  Types: alphan/alphap
 /// (Sakurai–Newton alpha-power law), linn/linp (non-saturating linear FET),
-/// cnfet/cpfet (quasi-ballistic CNT-FET).  All types accept the noise
-/// options gamma/kf/af.  The p-flavours build the n-model and wrap it in
-/// device::PTypeMirror.
+/// cnfet/cpfet (quasi-ballistic CNT-FET, compiled to a bicubic table whose
+/// bias box is the largest source voltage of the step point).  All types
+/// accept the noise options gamma/kf/af.  The p-flavours share the n-model
+/// and wrap it in device::PTypeMirror.
 struct ModelCard {
   std::string name;
   std::string type;
@@ -250,16 +252,17 @@ const std::string* find_option(
     const std::vector<std::pair<std::string, std::string>>& options,
     const std::string& key);
 
-/// Memo of built deck-local models keyed on (name, evaluated options):
-/// a session passes one so a .step sweep rebuilds a (possibly expensive)
-/// .model only when a stepped parameter actually reaches it.
+/// Record of the deck-local models an instantiate() or retune() call
+/// resolved, keyed "name|type|key=value..." (card name, card type, the
+/// evaluated options).  The models come from the ModelStore either way.
 using ModelMemo = std::map<std::string, device::DeviceModelPtr>;
 
 /// Instantiate a fresh Circuit from the flattened cards under the given
 /// global parameter overrides (stepped values; pass {} for the base point).
 /// @p models resolves m-card model names not defined by deck-local
-/// `.model` cards.  Throws ParseError, naming the card's line, on values
-/// that do not evaluate and on unknown models.
+/// `.model` cards; @p memo, when given, records the deck-local models.
+/// Throws ParseError, naming the card's line, on values that do not
+/// evaluate or that a model or element refuses, and on unknown models.
 std::unique_ptr<Circuit> instantiate(const Deck& deck,
                                      const ModelRegistry& models,
                                      const ParamEnv& overrides = {},

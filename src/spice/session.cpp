@@ -101,7 +101,7 @@ std::string x_column(const std::string& analysis) {
 /// Map a measure signal to the table column recorded for this analysis.
 std::string column_for(const std::string& analysis, const Signal& sig) {
   if (analysis == "ac") {
-    return sig.current ? "i(" + sig.name + ")" : "mag(" + sig.name + ")";
+    return sig.current ? "mag(i(" + sig.name + "))" : "mag(" + sig.name + ")";
   }
   if (analysis == "noise") return sig.name;  // fixed column names
   return (sig.current ? "i(" : "v(") + sig.name + ")";
@@ -257,15 +257,13 @@ class StepRunner {
  public:
   StepRunner(const Deck& deck, const DeckPlan& plan, Circuit& ckt,
              NewtonWorkspace& ws, AcSystem& ac, const ModelRegistry& registry,
-             ModelMemo& memo, const ParamEnv& overrides,
-             const SessionOptions& session_opts)
+             const ParamEnv& overrides, const SessionOptions& session_opts)
       : deck_(deck),
         plan_(plan),
         ckt_(ckt),
         ws_(ws),
         ac_(ac),
         registry_(registry),
-        memo_(memo),
         overrides_(overrides),
         session_opts_(session_opts) {}
 
@@ -279,7 +277,7 @@ class StepRunner {
 
     // The analyses leave the circuit as they found it, so one retune
     // serves every analysis of the point.
-    retune(deck_, registry_, overrides_, ckt_, &memo_);
+    retune(deck_, registry_, overrides_, ckt_);
     genv_ = global_params(deck_, overrides_);
     // A sweep grid or time span that cannot be marched fails the deck
     // before the point's first solve.
@@ -553,6 +551,7 @@ class StepRunner {
     if (it != passes_.end()) return it->second;
     VSource* ac_input = nullptr;
     std::vector<std::string> probes;
+    std::vector<const VSource*> currents;
     std::vector<NoiseRequest> noise;
     for (std::size_t j = first; j < values_.size(); ++j) {
       if (!on_grid(j)) continue;
@@ -561,12 +560,13 @@ class StepRunner {
         // Every .ac card probes the same columns from the same input.
         ac_input = values_[j].ac_input;
         probes = a.probes;
+        currents = a.currents;
       } else {
         noise.push_back({a.source, a.card->output});
       }
     }
-    return passes_[first] =
-               small_signal(ckt_, ac_input, probes, noise, values_[first].ac);
+    return passes_[first] = small_signal(ckt_, ac_input, probes, currents,
+                                         noise, values_[first].ac);
   }
 
   void run_ac(std::size_t i, core::Json& out) {
@@ -764,7 +764,6 @@ class StepRunner {
   NewtonWorkspace& ws_;
   AcSystem& ac_;
   const ModelRegistry& registry_;
-  ModelMemo& memo_;
   const ParamEnv& overrides_;
   const SessionOptions& session_opts_;
   ParamEnv genv_;  ///< global parameters of this step point
@@ -799,8 +798,7 @@ SimSession::CacheEntry& SimSession::entry_for(const Deck& deck,
   // Instantiate before touching the cache: a deck whose values do not
   // evaluate must leave no entry behind (a later deck of the same topology
   // would hit it and find no circuit).
-  ModelMemo memo;
-  std::unique_ptr<Circuit> circuit = instantiate(deck, registry_, {}, &memo);
+  std::unique_ptr<Circuit> circuit = instantiate(deck, registry_);
   const std::size_t capacity =
       static_cast<std::size_t>(std::max(1, opts_.cache_capacity));
   while (cache_.size() >= capacity && !lru_.empty()) {
@@ -812,7 +810,6 @@ SimSession::CacheEntry& SimSession::entry_for(const Deck& deck,
   lru_.push_front(deck.topology_signature);
   entry.lru_pos = lru_.begin();
   entry.circuit = std::move(circuit);
-  entry.model_memo = std::move(memo);
   return entry;
 }
 
@@ -850,7 +847,7 @@ core::Json SimSession::run_deck(const Deck& deck,
     if (cancel) cancel->throw_if_stopped("session");
     const int sym0 = entry.workspace.mna.analyze_count();
     StepRunner runner(deck, plan, *entry.circuit, entry.workspace, entry.ac,
-                      registry_, entry.model_memo, overrides, opts_);
+                      registry_, overrides, opts_);
     steps.push(runner.run());
     if (obs::Tracer* trc = obs::tracer()) {
       // Marker for a symbolic re-analysis performed somewhere inside the

@@ -15,7 +15,9 @@
 /// differ only in values — *retune* the cached circuit in place (element
 /// setters, no revision bump) and refresh the MNA static baseline, so the
 /// matrix pattern, slot tables and the sparse symbolic analyses (real and
-/// complex) are built exactly once per topology.  The cache is *bounded*:
+/// complex) are built exactly once per topology.  Device models are not
+/// per topology: every `.model` card resolves through the process-wide
+/// ModelStore (model_store.h).  The cache is *bounded*:
 /// SessionOptions::cache_capacity topologies are kept in LRU order and the
 /// least-recently-used entry is evicted beyond that, so a server-lifetime
 /// session over arbitrary client decks cannot grow without limit.  The
@@ -109,9 +111,6 @@ class SimSession {
     std::unique_ptr<Circuit> circuit;
     NewtonWorkspace workspace;
     AcSystem ac;
-    /// Deck-model memo (see netlist_parser's resolve_model): unchanged
-    /// .model cards keep their built DeviceModelPtr across steps/decks.
-    std::map<std::string, device::DeviceModelPtr> model_memo;
     long uses = 0;
     /// Position in lru_ (front = most recently used).
     std::list<std::string>::iterator lru_pos;

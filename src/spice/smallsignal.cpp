@@ -129,6 +129,7 @@ struct NoiseOutput {
 
 SmallSignalResult small_signal(Circuit& ckt, VSource* ac_input,
                                const std::vector<std::string>& probes,
+                               const std::vector<const VSource*>& currents,
                                const std::vector<NoiseRequest>& noise,
                                const AcOptions& opt) {
   CARBON_REQUIRE(!ac_input || !probes.empty(), "no probe nodes");
@@ -156,11 +157,17 @@ SmallSignalResult small_signal(Circuit& ckt, VSource* ac_input,
 
   SmallSignalResult res;
   std::vector<NodeId> probe_ids;
+  std::vector<int> branch_rows;  // 1-based MNA rows of the current probes
   if (ac_input) {
     std::vector<std::string> cols{"freq_hz"};
     for (const auto& p : probes) {
       cols.push_back("mag(" + p + ")");
       cols.push_back("phase_deg(" + p + ")");
+    }
+    for (const VSource* src : currents) {
+      cols.push_back("mag(i(" + src->name() + "))");
+      cols.push_back("phase_deg(i(" + src->name() + "))");
+      branch_rows.push_back(ckt.vsource_branch_index(*src));
     }
     res.ac = phys::DataTable(cols);
     probe_ids = resolve_probes(ckt, probes);
@@ -212,11 +219,14 @@ SmallSignalResult small_signal(Circuit& ckt, VSource* ac_input,
 
     if (ac_input) {
       row.assign(1, f);
-      for (const NodeId id : probe_ids) {
-        const phys::Complex v = (id == 0) ? phys::Complex{} : x[id - 1];
+      const auto push = [&](phys::Complex v) {
         row.push_back(std::abs(v));
         row.push_back(std::arg(v) * 180.0 / M_PI);
+      };
+      for (const NodeId id : probe_ids) {
+        push(id == 0 ? phys::Complex{} : x[id - 1]);
       }
+      for (const int r : branch_rows) push(x[r - 1]);
       res.ac.add_row(row);
     }
     // Integrate: flat extension of the first point down to DC, trapezoid
@@ -250,14 +260,15 @@ SmallSignalResult small_signal(Circuit& ckt, VSource* ac_input,
 phys::DataTable ac_sweep(Circuit& ckt, VSource& input,
                          const std::vector<std::string>& probes,
                          const AcOptions& opt) {
-  return small_signal(ckt, &input, probes, {}, opt).ac;
+  return small_signal(ckt, &input, probes, {}, {}, opt).ac;
 }
 
 NoiseResult noise_sweep(Circuit& ckt, VSource& input,
                         const std::string& output_node,
                         const AcOptions& opt) {
   return std::move(
-      small_signal(ckt, nullptr, {}, {{&input, output_node}}, opt).noise[0]);
+      small_signal(ckt, nullptr, {}, {}, {{&input, output_node}}, opt)
+          .noise[0]);
 }
 
 double corner_frequency(const phys::DataTable& ac,

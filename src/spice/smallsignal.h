@@ -143,7 +143,8 @@ struct NoiseResult {
 };
 
 struct SmallSignalResult {
-  /// Columns: freq_hz, then |v(<probe>)| and phase_deg(<probe>) per probe;
+  /// Columns: freq_hz, then mag(<probe>) and phase_deg(<probe>) per probe
+  /// node, then mag(i(<src>)) and phase_deg(i(<src>)) per current probe;
   /// empty without an .ac input.
   phys::DataTable ac;
   std::vector<NoiseResult> noise;  ///< one per NoiseRequest, in order
@@ -151,13 +152,15 @@ struct SmallSignalResult {
 
 /// The small-signal pass over one frequency grid.  .ac: @p ac_input is the
 /// unit-magnitude stimulus (other sources keep their magnitudes; the
-/// input's own comes back when the pass returns or throws) and @p probes
-/// the recorded nodes; null = no forward solve.  .noise: every element's
+/// input's own comes back when the pass returns or throws), @p probes the
+/// recorded nodes and @p currents the voltage sources whose branch current
+/// is recorded; null input = no forward solve.  .noise: every element's
 /// noise sources at the operating point, propagated to each output, with
 /// output and input-referred densities and integrated totals.  The gain is
 /// the transfer from the request's input alone; it makes no noise itself.
 SmallSignalResult small_signal(Circuit& ckt, VSource* ac_input,
                                const std::vector<std::string>& probes,
+                               const std::vector<const VSource*>& currents,
                                const std::vector<NoiseRequest>& noise,
                                const AcOptions& opt = {});
 

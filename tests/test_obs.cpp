@@ -312,6 +312,8 @@ TEST(ObsServe, MetricSchemaIsStable) {
       {"carbon_session_cache_total", "counter"},
       {"carbon_phase_ns_total", "counter"},
       {"carbon_session_cache_entries", "gauge"},
+      {"carbon_model_store_total", "counter"},
+      {"carbon_model_store_entries", "gauge"},
   };
   EXPECT_EQ(server.metrics().schema(), kGolden);
 }

@@ -17,6 +17,7 @@
 #include "device/alpha_power.h"
 #include "device/faulty.h"
 #include "phys/cancel.h"
+#include "spice/model_store.h"
 #include "spice/session.h"
 
 namespace {
@@ -155,6 +156,35 @@ TEST(SessionConcurrent, SharedParentTokenCancelsEveryThread) {
 
   EXPECT_EQ(cancelled.load(), kThreads);
   EXPECT_EQ(unexpected.load(), 0);
+}
+
+TEST(SessionConcurrent, FirstUsesOfOneModelShareOneBuild) {
+  // Every session asks the process-wide model store for the same fresh
+  // CNT key at once: one thread builds, the others wait for its model.
+  constexpr int kThreads = 4;
+  const std::string deck =
+      ".model ncnt cnfet(l=17.7n)\n.model pcnt cpfet(l=17.7n)\n"
+      "vdd vdd 0 0.4\nva a 0 0.4\nvb b 0 0\n"
+      "mpa out a vdd pcnt\nmpb out b vdd pcnt\n"
+      "mna out a mid ncnt\nmnb mid b 0 ncnt\n"
+      ".op\n.probe none\n.measure op out value v(out)\n";
+  sp::ModelStore& store = sp::ModelStore::instance();
+  const long builds0 = store.stats().builds;
+  std::atomic<int> ready{0};
+  std::vector<std::string> docs(kThreads);
+  auto worker = [&](int t) {
+    sp::SimSession session;
+    ++ready;
+    while (ready.load() < kThreads) std::this_thread::yield();
+    docs[t] = session.run_deck_text(deck).dump();
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(store.stats().builds - builds0, 1);
+  EXPECT_NE(docs[0].find("\"ok\":true"), std::string::npos) << docs[0];
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(docs[t], docs[0]);
 }
 
 }  // namespace

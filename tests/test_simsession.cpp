@@ -4,6 +4,7 @@
 // core::Json reader that everything round-trips through.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -12,8 +13,10 @@
 
 #include "core/report.h"
 #include "device/alpha_power.h"
+#include "device/cntfet.h"
 #include "obs/trace.h"
 #include "phys/cancel.h"
+#include "spice/model_store.h"
 #include "spice/session.h"
 
 namespace {
@@ -237,6 +240,53 @@ const MalformedCase kMalformedDecks[] = {
     {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1p\n.probe i(c1)\n.tran 1n 10n\n", 4,
      ".probe i(c1)", "'c1' is not a voltage source",
      "v1 a 0 1\nr1 a b 1k\nc1 b 0 1p\n.probe i(v1)\n.tran 1n 10n\n"},
+    // .model values the model constructors refuse: checked before the
+    // process-wide store builds anything.  The CNT twins share one model.
+    {".model n cnfet(l=0)\nv1 d 0 0.5\nmn d d 0 n\n.op\n", 1,
+     ".model n cnfet(l=0)", ".model option l must be > 0",
+     ".model n cnfet(l=20n)\nv1 d 0 0.5\nmn d d 0 n\n.op\n"},
+    {".model n cnfet(l=-1n)\nv1 d 0 0.5\nmn d d 0 n\n.op\n", 1,
+     ".model n cnfet(l=-1n)", ".model option l must be > 0",
+     ".model n cnfet(l=20n)\nv1 d 0 0.5\nmn d d 0 n\n.op\n"},
+    {".model n cnfet(subbands=0)\nv1 d 0 0.5\nmn d d 0 n\n.op\n", 1,
+     ".model n cnfet(subbands=0)", "subbands must be an integer in 1..32",
+     ".model n cnfet(subbands=3)\nv1 d 0 0.5\nmn d d 0 n\n.op\n"},
+    {".model n cnfet(subbands=1e12)\nv1 d 0 0.5\nmn d d 0 n\n.op\n", 1,
+     ".model n cnfet(subbands=1e12)", "subbands must be an integer in 1..32",
+     ".model n cnfet(subbands=3)\nv1 d 0 0.5\nmn d d 0 n\n.op\n"},
+    {".model n cnfet(subbands=2.5)\nv1 d 0 0.5\nmn d d 0 n\n.op\n", 1,
+     ".model n cnfet(subbands=2.5)", "subbands must be an integer in 1..32",
+     ".model n cnfet(subbands=3)\nv1 d 0 0.5\nmn d d 0 n\n.op\n"},
+    {".model n cnfet(rs=-1)\nv1 d 0 0.5\nmn d d 0 n\n.op\n", 1,
+     ".model n cnfet(rs=-1)", ".model option rs must be >= 0",
+     ".model n cnfet(rs=0)\nv1 d 0 0.5\nmn d d 0 n\n.op\n"},
+    {".model n alphan(alpha=0)\nv1 d 0 1\nmn d d 0 n\n.op\n", 1,
+     ".model n alphan(alpha=0)", ".model option alpha must be in [1, 2]",
+     ".model n alphan(alpha=1.3)\nv1 d 0 1\nmn d d 0 n\n.op\n"},
+    {".model n alphan(k=-1)\nv1 d 0 1\nmn d d 0 n\n.op\n", 1,
+     ".model n alphan(k=-1)", ".model option k must be > 0",
+     ".model n alphan(k=60u)\nv1 d 0 1\nmn d d 0 n\n.op\n"},
+    {".model n alphan(ss=0)\nv1 d 0 1\nmn d d 0 n\n.op\n", 1,
+     ".model n alphan(ss=0)", ".model option ss must be > 0",
+     ".model n alphan(ss=80)\nv1 d 0 1\nmn d d 0 n\n.op\n"},
+    {".model n linn(k=0)\nv1 d 0 1\nmn d d 0 n\n.op\n", 1,
+     ".model n linn(k=0)", ".model option k must be > 0",
+     ".model n linn(k=1m)\nv1 d 0 1\nmn d d 0 n\n.op\n"},
+    {".model n linn(smooth=0)\nv1 d 0 1\nmn d d 0 n\n.op\n", 1,
+     ".model n linn(smooth=0)", ".model option smooth must be > 0",
+     ".model n linn(smooth=0.05)\nv1 d 0 1\nmn d d 0 n\n.op\n"},
+    {".model n alphan(gamma=-1)\nv1 d 0 1\nmn d d 0 n\n.op\n", 1,
+     ".model n alphan(gamma=-1)", ".model option gamma must be >= 0",
+     ".model n alphan(gamma=1)\nv1 d 0 1\nmn d d 0 n\n.op\n"},
+    {".model n alphan(vt={1/0})\nv1 d 0 1\nmn d d 0 n\n.op\n", 1,
+     ".model n alphan(vt={1/0})", ".model option vt must be finite",
+     ".model n alphan(vt=0.2)\nv1 d 0 1\nmn d d 0 n\n.op\n"},
+    // A stepped parameter that reaches a bad value at the second point.
+    {".param len=20n\n.model n cnfet(l={len})\nv1 d 0 0.5\nmn d d 0 n\n"
+     ".step param len list 20n 0\n.op\n",
+     2, ".model n cnfet(l={len})", ".model option l must be > 0",
+     ".param len=20n\n.model n cnfet(l={len})\nv1 d 0 0.5\nmn d d 0 n\n"
+     ".step param len list 20n 20n\n.op\n"},
 };
 
 TEST(SimSession, MalformedDeckYieldsStructuredError) {
@@ -631,6 +681,234 @@ TEST(SimSession, ExplicitCancelRendersCancelledDocument) {
 
 // ---------------------------------------------------------------------------
 // core::Json reader
+
+TEST(SimSession, AcTablesKeepCurrentColumns) {
+  // A probed source current is an .ac column like a node voltage.  v1
+  // drives an RC low-pass, so |i(v1)| = wC / sqrt(1 + (wRC)^2).
+  sp::SimSession session;
+  const Json doc = session.run_deck_text(
+      "v1 in 0 dc 0 ac 1\nr1 in out 1k\nc1 out 0 1n\n.probe v(out) i(v1)\n"
+      ".ac dec 1 1k 10k\n.measure ac iin max i(v1)\n");
+  ASSERT_TRUE(doc["ok"].as_bool()) << doc.dump(1);
+  const Json& step = doc["steps"].at(0);
+  const Json& table = step["analyses"].at(0)["table"];
+  const std::vector<double> f = column(table, "freq_hz");
+  const std::vector<double> mag = column(table, "mag(i(v1))");
+  ASSERT_EQ(f.size(), 2u);
+  ASSERT_EQ(mag.size(), f.size());
+  EXPECT_EQ(column(table, "phase_deg(i(v1))").size(), f.size());
+  double peak = 0.0;
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    const double w = 2.0 * M_PI * f[i], rc = 1e3 * 1e-9;
+    const double want = w * 1e-9 / std::sqrt(1.0 + (w * rc) * (w * rc));
+    EXPECT_NEAR(mag[i], want, 1e-12 * want) << "row " << i;
+    peak = std::max(peak, mag[i]);
+  }
+  EXPECT_EQ(step["measures"]["iin"].as_double(), peak) << doc.dump(1);
+}
+
+/// examples/decks/cnt_inverter_vtc.cir: a mirrored CNT inverter's VTC at
+/// three supplies, one device table per supply.
+constexpr const char* kCntVtcDeck = R"(.title cnt inverter vtc
+.param vdd=0.6
+.model ncnt cnfet(l=20n)
+.model pcnt cpfet(l=20n)
+vdd vdd 0 {vdd}
+vin in 0 0
+mp out in vdd pcnt
+mn out in 0 ncnt
+.dc vin 0 {vdd} {vdd/20}
+.step param vdd list 0.3 0.45 0.6
+.probe v(out)
+.measure dc gain vtc v(in) v(out) vdd={vdd} metric=gain
+.measure dc nml  vtc v(in) v(out) vdd={vdd} metric=nml
+.measure dc nmh  vtc v(in) v(out) vdd={vdd} metric=nmh
+.measure dc vswitch vtc v(in) v(out) vdd={vdd} metric=vswitch
+.end
+)";
+
+/// A CNT NAND2 or NOR2 truth table at 0.45 V: a 2x2 .step grid of .op,
+/// steps in the order (a, b) = 00, 01, 10, 11.
+std::string cnt_gate_deck(bool nand) {
+  return std::string(".param vdd=0.45 a=0 b=0\n"
+                     ".model ncnt cnfet(l=20n)\n.model pcnt cpfet(l=20n)\n"
+                     "vdd vdd 0 {vdd}\nva a 0 {a*vdd}\nvb b 0 {b*vdd}\n") +
+         (nand ? "mpa out a vdd pcnt\nmpb out b vdd pcnt\n"
+                 "mna out a mid ncnt\nmnb mid b 0 ncnt\n"
+               : "mpa mid a vdd pcnt\nmpb out b mid pcnt\n"
+                 "mna out a 0 ncnt\nmnb out b 0 ncnt\n") +
+         ".op\n.step param a list 0 1\n.step param b list 0 1\n"
+         ".measure op out value v(out)\n";
+}
+
+/// @p deck without its .model cards: its m-cards then name registry
+/// entries.
+std::string without_model_cards(const std::string& deck) {
+  std::string out;
+  std::size_t at = 0;
+  while (at < deck.size()) {
+    const std::size_t end = deck.find('\n', at);
+    const std::string line = deck.substr(at, end - at + 1);
+    if (line.rfind(".model", 0) != 0) out += line;
+    at = end == std::string::npos ? deck.size() : end + 1;
+  }
+  return out;
+}
+
+TEST(SimSession, CntDecksMatchTheDirectModel) {
+  // cnfet/cpfet cards compile the CNT-FET to a table over the deck's
+  // supply; the reference evaluates the same self-consistent model
+  // directly, through registry entries the m-cards name.
+  const auto direct = std::make_shared<carbon::device::CntfetModel>(
+      carbon::device::make_franklin_cntfet_params(20e-9));
+  sp::ModelRegistry registry;
+  registry["ncnt"] = direct;
+  registry["pcnt"] = std::make_shared<carbon::device::PTypeMirror>(direct);
+  sp::SimSession tabulated;
+  sp::SimSession reference(registry);
+
+  const Json tab = tabulated.run_deck_text(kCntVtcDeck);
+  const Json ref = reference.run_deck_text(without_model_cards(kCntVtcDeck));
+  ASSERT_TRUE(tab["ok"].as_bool()) << tab.dump(1);
+  ASSERT_TRUE(ref["ok"].as_bool()) << ref.dump(1);
+  const double supplies[] = {0.3, 0.45, 0.6};
+  for (int s = 0; s < 3; ++s) {
+    SCOPED_TRACE("vdd " + std::to_string(supplies[s]));
+    const Json& t = tab["steps"].at(s)["measures"];
+    const Json& r = ref["steps"].at(s)["measures"];
+    for (const char* m : {"gain", "nml", "nmh"}) {
+      EXPECT_NEAR(t[m].as_double(), r[m].as_double(),
+                  1e-3 * std::abs(r[m].as_double()))
+          << m;
+    }
+    const double vswitch = t["vswitch"].as_double();
+    EXPECT_NEAR(vswitch, r["vswitch"].as_double(), 1e-9);
+    EXPECT_NEAR(vswitch, supplies[s] / 2, supplies[s] / 20);
+  }
+
+  const double vdd = 0.45;
+  for (const bool nand : {true, false}) {
+    const Json gt = tabulated.run_deck_text(cnt_gate_deck(nand));
+    const Json gr =
+        reference.run_deck_text(without_model_cards(cnt_gate_deck(nand)));
+    ASSERT_TRUE(gt["ok"].as_bool()) << gt.dump(1);
+    ASSERT_TRUE(gr["ok"].as_bool()) << gr.dump(1);
+    for (int in = 0; in < 4; ++in) {
+      SCOPED_TRACE((nand ? "nand2 " : "nor2 ") + std::to_string(in));
+      const bool a = in & 2, b = in & 1;
+      const bool high = nand ? !(a && b) : !(a || b);
+      const double out = gt["steps"].at(in)["measures"]["out"].as_double();
+      EXPECT_NEAR(out, gr["steps"].at(in)["measures"]["out"].as_double(),
+                  1e-6 * vdd);
+      EXPECT_NEAR(out, high ? vdd : 0.0, 0.01 * vdd);
+    }
+  }
+}
+
+// ---------------------------------------------------------- ModelStore
+
+/// A diode-connected CNT-FET pair under @p vdd, its cards named @p n/@p p.
+std::string cnt_pair_deck(const std::string& n, const std::string& p,
+                          const std::string& l, const std::string& vdd) {
+  return ".model " + n + " cnfet(l=" + l + ")\n.model " + p + " cpfet(l=" +
+         l + ")\nvdd vdd 0 " + vdd + "\nmp mid mid vdd " + p +
+         "\nmn mid mid 0 " + n + "\n.op\n";
+}
+
+TEST(ModelStore, OneBuildPerKeyAcrossSessionsTopologiesAndCardNames) {
+  sp::ModelStore& store = sp::ModelStore::instance();
+  const long builds0 = store.stats().builds;
+  // Two topologies, two sessions, four card names, one key: ncnt and pcnt
+  // share the n-type model.
+  const std::string first = cnt_pair_deck("na", "pa", "13.3n", "0.5");
+  const std::string second =
+      cnt_pair_deck("nx", "px", "13.3n", "0.5") + "c1 mid 0 1f\n";
+  sp::SimSession one, two;
+  for (sp::SimSession* session : {&one, &two}) {
+    for (const std::string* deck : {&first, &second}) {
+      const Json doc = session->run_deck_text(*deck);
+      ASSERT_TRUE(doc["ok"].as_bool()) << doc.dump(1);
+    }
+  }
+  EXPECT_EQ(store.stats().builds - builds0, 1);
+  // Another gate length is another model.
+  const Json other =
+      one.run_deck_text(cnt_pair_deck("na", "pa", "13.4n", "0.5"));
+  ASSERT_TRUE(other["ok"].as_bool()) << other.dump(1);
+  EXPECT_EQ(store.stats().builds - builds0, 2);
+}
+
+TEST(ModelStore, SteppedSupplyBuildsOneTablePerDistinctBox) {
+  sp::ModelStore& store = sp::ModelStore::instance();
+  const long builds0 = store.stats().builds;
+  sp::SimSession session;
+  const Json doc = session.run_deck_text(
+      cnt_pair_deck("n", "p", "14.1n", "{vdd}") +
+      ".param vdd=0.31\n.step param vdd list 0.31 0.42 0.31 0.53\n");
+  ASSERT_TRUE(doc["ok"].as_bool()) << doc.dump(1);
+  EXPECT_EQ(store.stats().builds - builds0, 3);
+}
+
+TEST(ModelStore, CntTablesCoverEveryDeck) {
+  // No source sets a box: the table gets the smallest one.
+  sp::SimSession session;
+  const Json alone = session.run_deck_text(
+      ".model n cnfet(l=15.5n)\ni1 0 d 1u\nmn d d 0 n\n.op\n");
+  EXPECT_TRUE(alone["ok"].as_bool()) << alone.dump(1);
+
+  // Unequal contacts break the source/drain symmetry the mirror assumes:
+  // the table spans reverse bias and follows the direct model there.
+  carbon::device::CntfetParams p =
+      carbon::device::make_franklin_cntfet_params(15.5e-9);
+  p.r_source_ohm = 5e3;
+  sp::ModelRegistry registry;
+  registry["n"] = std::make_shared<carbon::device::CntfetModel>(p);
+  sp::SimSession reference(registry);
+  const std::string circuit =
+      "vd d 0 0.4\nvg g 0 0.45\nmn 0 g d n\n.op\n"
+      ".measure op id value i(vd)\n";
+  const Json tab =
+      session.run_deck_text(".model n cnfet(l=15.5n rs=5k)\n" + circuit);
+  const Json ref = reference.run_deck_text(circuit);
+  ASSERT_TRUE(tab["ok"].as_bool()) << tab.dump(1);
+  ASSERT_TRUE(ref["ok"].as_bool()) << ref.dump(1);
+  const double id = ref["steps"].at(0)["measures"]["id"].as_double();
+  EXPECT_GT(std::abs(id), 1e-7);
+  EXPECT_NEAR(tab["steps"].at(0)["measures"]["id"].as_double(), id,
+              0.01 * std::abs(id));
+}
+
+TEST(ModelStore, EvictsTheLeastRecentlyUsedAndCircuitsKeepTheirModels) {
+  sp::ModelStore& store = sp::ModelStore::instance();
+  const auto deck = [](int i) {
+    return sp::parse_deck(".model n alphan(vt=" +
+                          std::to_string(0.1 + 1e-4 * i) +
+                          ")\nv1 d 0 1\nmn d d 0 n\n");
+  };
+  const sp::ModelStoreStats s0 = store.stats();
+  // The first key's circuit outlives its store entry.
+  sp::ModelMemo memo;
+  const auto held = sp::instantiate(deck(0), {}, {}, &memo);
+  ASSERT_EQ(memo.size(), 1u);
+  const std::weak_ptr<const carbon::device::IDeviceModel> model =
+      memo.begin()->second;
+  memo.clear();
+  for (int i = 1; i <= sp::kModelStoreCapacity; ++i) {
+    sp::instantiate(deck(i), {});
+  }
+  // kModelStoreCapacity + 1 new keys: the entries there were before, and
+  // the first new key, made room.
+  const sp::ModelStoreStats s1 = store.stats();
+  EXPECT_EQ(s1.builds - s0.builds, sp::kModelStoreCapacity + 1);
+  EXPECT_EQ(s1.evictions - s0.evictions, s0.entries + 1);
+  EXPECT_EQ(s1.entries, sp::kModelStoreCapacity);
+  ASSERT_FALSE(model.expired());
+  const sp::Solution sol = sp::operating_point(*held);
+  EXPECT_GT(sp::node_voltage(*held, sol, "d"), 0.99);
+  // The newest keys stay: the last one is a hit, not a build.
+  sp::instantiate(deck(sp::kModelStoreCapacity), {});
+  EXPECT_EQ(store.stats().builds, s1.builds);
+}
 
 TEST(JsonParse, RoundTripsSessionDocuments) {
   sp::SimSession session;

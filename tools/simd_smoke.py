@@ -5,12 +5,16 @@ Boots the daemon on an ephemeral TCP port with the fault-injection models
 registered, then hammers it from concurrent client threads with the full
 fault mix — good decks (an .ac+.noise deck with a measure over a
 missing column among them), parse errors (overflowing .step/.dc grids,
-out-of-range element values and waveform arguments among them), NaN
-solve failures, injected hangs under tight deadlines, oversized requests
-and mid-request disconnects — and asserts the robustness contract:
+out-of-range element values, waveform arguments and .model values among
+them), NaN solve failures, injected hangs under tight deadlines,
+oversized requests and mid-request disconnects — and asserts the
+robustness contract:
 
   * every request on a surviving connection yields exactly one JSON
     document (ok, or a structured error of the expected type);
+  * one CNT NAND2 deck sent by every client thread at once (first uses of
+    one model-store key, built once while the others wait) comes back ok
+    with identical measures;
   * no reply names a server source file (no "/src/" anywhere);
   * a half-closed client (shutdown(SHUT_WR) after its run, as nc -N does)
     still gets exactly one document, then the daemon closes;
@@ -25,9 +29,10 @@ and mid-request disconnects — and asserts the robustness contract:
   * health reporting stays coherent (in_flight returns to 0);
   * {"type":"metrics"} exposes a conserved Prometheus snapshot: each
     carbon_request_seconds{outcome=X} histogram count equals the
-    matching carbon_requests_total{outcome=X} counter, and the
+    matching carbon_requests_total{outcome=X} counter, the
     queue-wait histogram count equals the started run requests once the
-    storm quiesces;
+    storm quiesces, and carbon_model_store_total{event="build"} equals
+    the number of distinct device-model keys the run sent;
   * SIGTERM drains gracefully: the process exits 0 within the drain
     budget after finishing or cancelling in-flight work.
 
@@ -63,8 +68,23 @@ INF_DECK = "v1 in 0 1e300t\nr1 in out 1k\nr2 out 0 1k\n.op\n.end\n"
 NAN_SOURCE_DECK = "v1 in 0 {0/0}\nr1 in out 1k\nr2 out 0 1k\n.op\n.end\n"
 PULSE_DECK = ("v1 in 0 pulse(0 1 0 0 0 1n 2n)\nr1 in out 1k\nr2 out 0 1k\n"
               ".op\n.end\n")
+# .model values the model constructors refuse: refused before any build.
+CNT_L0_DECK = ".model n cnfet(l=0)\nv1 d 0 0.5\nmn d d 0 n\n.op\n.end\n"
+ALPHA0_DECK = ".model n alphan(alpha=0)\nv1 d 0 1\nmn d d 0 n\n.op\n.end\n"
 PARSE_DECKS = [PARSE_DECK, STEP_DECK, DC_DECK, NEG_R_DECK, INF_DECK,
-               NAN_SOURCE_DECK, PULSE_DECK]
+               NAN_SOURCE_DECK, PULSE_DECK, CNT_L0_DECK, ALPHA0_DECK]
+# A CNT NAND2 truth table: ncnt and pcnt share one model-store key, the
+# only device model any deck of the run builds.
+NAND2_DECK = (
+    ".param vdd=0.45 a=0 b=0\n"
+    ".model ncnt cnfet(l=18n)\n.model pcnt cpfet(l=18n)\n"
+    "vdd vdd 0 {vdd}\nva a 0 {a*vdd}\nvb b 0 {b*vdd}\n"
+    "mpa out a vdd pcnt\nmpb out b vdd pcnt\n"
+    "mna out a mid ncnt\nmnb mid b 0 ncnt\n"
+    ".op\n.step param a list 0 1\n.step param b list 0 1\n"
+    ".probe none\n.measure op out value v(out)\n.end\n"
+)
+MODEL_KEYS = 1
 # One small-signal pass serves both cards; the second measure reads a
 # column the .ac table lacks and must come back null, not fail the deck.
 AC_DECK = (
@@ -158,7 +178,21 @@ def expect_type(doc, want, what):
                  f"{json.dumps(doc)[:200]}")
 
 
-def client_mix(port, seed, rounds):
+def first_model_use(port, barrier, outs):
+    """Send NAND2_DECK the moment every client thread is ready."""
+    c = Client(port)
+    try:
+        barrier.wait()
+        doc = c.rpc({"type": "run", "deck": NAND2_DECK})
+        expect_type(doc, "ok", "CNT NAND2 deck")
+        if doc and doc.get("ok"):
+            outs.append([s["measures"]["out"] for s in doc["steps"]])
+    finally:
+        c.close()
+
+
+def client_mix(port, seed, rounds, barrier, outs):
+    first_model_use(port, barrier, outs)
     for i in range(rounds):
         kind = (seed + i) % 5
         try:
@@ -271,6 +305,10 @@ def check_metrics(port):
     elif qwait != started:
         fail(f"metrics: queue-wait count {qwait} != started run requests "
              f"{started}")
+    builds = prom_value(text, "carbon_model_store_total", 'event="build"')
+    if builds != MODEL_KEYS:
+        fail(f"metrics: {builds} model-store builds, the run sent "
+             f"{MODEL_KEYS} distinct model key(s)")
     # The JSON snapshot must carry the same vocabulary.
     if "carbon_request_seconds" not in (doc.get("metrics") or {}):
         fail("metrics: JSON snapshot missing carbon_request_seconds")
@@ -416,14 +454,23 @@ def main():
                         "health after " + what)
         c.close()
 
-        # The concurrent fault mix.
+        # The concurrent fault mix, opened by every client's first use of
+        # one model-store key at once.
+        barrier = threading.Barrier(args.clients)
+        outs = []
         threads = [threading.Thread(target=client_mix,
-                                    args=(port, t, args.rounds))
+                                    args=(port, t, args.rounds, barrier,
+                                          outs))
                    for t in range(args.clients)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
+        if len(outs) != args.clients or any(o != outs[0] for o in outs):
+            fail(f"CNT NAND2 deck: measures differ or are missing: {outs}")
+        else:
+            print(f"first model use: {len(outs)} identical NAND2 tables "
+                  f"{outs[0]}")
 
         # Overload burst: more simultaneous hung solves than workers+queue
         # slots; at least one connection must be shed with an overload doc.
@@ -469,6 +516,9 @@ def main():
                 fail("health: no timeouts recorded despite hung decks")
             if srv["disconnects"] < 1:
                 fail("health: no disconnects recorded")
+            store = srv.get("model_store") or {}
+            if store.get("builds") != MODEL_KEYS or store.get("hits", 0) < 1:
+                fail("health: model_store " + json.dumps(store))
 
         # Metrics exposition: histogram/counter conservation at rest.
         check_metrics(port)

@@ -86,17 +86,17 @@ DeviceEval TabulatedDeviceModel::eval(double vgs, double vds) const {
 }
 
 DeviceModelPtr make_tabulated(DeviceModelPtr base, double v_max, int n_vgs,
-                              int n_vds, bool mirror_vds) {
+                              int n_vds) {
   CARBON_REQUIRE(v_max > 0.0, "supply must be positive");
   TabulatedGrid g;
   const double guard = 0.1 * v_max;
   g.vgs_min = -guard;
   g.vgs_max = v_max + guard;
   g.n_vgs = n_vgs;
-  g.vds_min = mirror_vds ? 0.0 : -(v_max + guard);
+  g.vds_min = 0.0;
   g.vds_max = v_max + guard;
-  g.n_vds = mirror_vds ? n_vds : 2 * n_vds - 1;
-  g.mirror_vds = mirror_vds;
+  g.n_vds = n_vds;
+  g.mirror_vds = true;
   return std::make_shared<TabulatedDeviceModel>(std::move(base), g);
 }
 

@@ -80,12 +80,8 @@ class TabulatedDeviceModel final : public IDeviceModel {
 /// @p v_max exercises, with a 10% guard band on every edge so Newton
 /// iterates that overshoot the rails stay on the table.  Wrap the result in
 /// PTypeMirror for the complementary device — the mirror adapter forwards
-/// eval() with the chain rule, so the p-side is just as fast.  With
-/// @p mirror_vds false (a device that is not source/drain symmetric) the
-/// grid spans vds in [-(v_max + guard), v_max + guard] on 2 n_vds - 1
-/// points, the same spacing, instead of answering vds < 0 by the mirror.
+/// eval() with the chain rule, so the p-side is just as fast.
 DeviceModelPtr make_tabulated(DeviceModelPtr base, double v_max,
-                              int n_vgs = 97, int n_vds = 65,
-                              bool mirror_vds = true);
+                              int n_vgs = 97, int n_vds = 65);
 
 }  // namespace carbon::device

@@ -7,10 +7,11 @@
 /// per process, whichever session, topology, worker or card name asks.
 ///
 /// A key names the n-type model family and every parameter value the card
-/// evaluated to (plus the table box for the tabulated CNT-FET); it never
-/// holds a card name, and a p-type card resolves its n-type twin's key and
-/// wraps the shared model in device::PTypeMirror.  Stored models are named
-/// by their family, so no client ever sees another client's card name.
+/// evaluated to; a CNT-FET table's key adds its span to its device's key,
+/// and the table is built from the stored device.  A key never holds a
+/// card name, and a p-type card resolves its n-type twin's key and wraps
+/// the shared model in device::PTypeMirror.  Stored models are named by
+/// their family, so no client ever sees another client's card name.
 ///
 /// Concurrent first requests for one key wait on a single builder.  A
 /// build that throws leaves no entry and fails its waiters with the same

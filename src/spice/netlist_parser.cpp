@@ -842,9 +842,28 @@ std::vector<ParamEnv> resolve_scopes(const Deck& deck,
 /// them (0.17 s at 30 subbands, 2.7 s at 300).
 constexpr int kMaxCntSubbands = 32;
 
-/// Smallest CNT table box [V]: a deck whose sources stay below it, or that
-/// has none, still gets a grid its bicubic cells can resolve.
-constexpr double kMinTableBoxV = 0.1;
+/// Smallest CNT table span [V]: a deck whose potentials stay within it, or
+/// that has no source, still gets a grid its bicubic cells can resolve.
+constexpr double kMinTableSpanV = 0.1;
+
+/// The CNT-FET table of a deck whose node potentials span @p span volts:
+/// every terminal difference then lies in [-span, span], and the grid
+/// covers that with a 10% guard band (vds >= 0 only for a @p symmetric
+/// device, whose reverse bias the mirror answers at vgs - vds = vgd).  The
+/// spacing is make_tabulated()'s at supply @p span.
+device::DeviceModelPtr cnt_table(device::DeviceModelPtr base, double span,
+                                 bool symmetric) {
+  device::TabulatedGrid g;
+  const double edge = 1.1 * span;
+  g.vgs_min = -edge;
+  g.vgs_max = edge;
+  g.n_vgs = 177;
+  g.vds_min = symmetric ? 0.0 : -edge;
+  g.vds_max = edge;
+  g.n_vds = symmetric ? 65 : 129;
+  g.mirror_vds = symmetric;
+  return std::make_shared<device::TabulatedDeviceModel>(std::move(base), g);
+}
 
 std::map<std::string, double> eval_model_options(const ModelCard& mc,
                                                  const ParamEnv& env) {
@@ -855,13 +874,25 @@ std::map<std::string, double> eval_model_options(const ModelCard& mc,
   return out;
 }
 
+/// Append "|name=" and the bytes of @p v to a store key (exact, and no
+/// formatting per card).
+void append_key(std::string& key, const char* name, double v) {
+  key += '|';
+  key += name;
+  key += '=';
+  key.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
 /// The model of a .model card at one step point, from the process-wide
 /// ModelStore.  The values are checked first, naming the option and the
 /// card's line, against everything the model constructors refuse, so no
 /// client value can make a shared build throw.  cnfet/cpfet cards compile
-/// the CNT-FET to a bicubic table over the bias box @p box (table_box()).
+/// the CNT-FET to a bicubic table over node potentials spanning @p span
+/// volts (potential_span()); with @p span 0 they evaluate it directly.
+/// The store keeps the CntfetModel under its parameters and each table
+/// under those plus its span, so a stepped supply builds the device once.
 device::DeviceModelPtr deck_model(const ModelCard& mc, const ParamEnv& env,
-                                  double box) {
+                                  double span) {
   namespace dev = carbon::device;
   auto opts = eval_model_options(mc, env);
   const auto refuse = [&](const std::string& what) {
@@ -881,14 +912,8 @@ device::DeviceModelPtr deck_model(const ModelCard& mc, const ParamEnv& env,
                              : t == "cnfet" || t == "cpfet" ? "cnfet"
                                                             : "alphan";
   // The store key: the n-type family, then every parameter value taken,
-  // defaults included, as its bytes (exact, and no formatting per card).
+  // defaults included.
   std::string key = family;
-  const auto append = [&](const char* k, double v) {
-    key += '|';
-    key += k;
-    key += '=';
-    key.append(reinterpret_cast<const char*>(&v), sizeof v);
-  };
   auto take = [&](const char* k, double fallback) {
     double v = fallback;
     const auto it = opts.find(k);
@@ -896,7 +921,7 @@ device::DeviceModelPtr deck_model(const ModelCard& mc, const ParamEnv& env,
       v = it->second;
       opts.erase(it);
     }
-    append(k, v);
+    append_key(key, k, v);
     return v;
   };
   // Noise options are common to every family.
@@ -910,6 +935,7 @@ device::DeviceModelPtr deck_model(const ModelCard& mc, const ParamEnv& env,
   check(noise.af > 0.0, "af must be > 0");
 
   std::function<dev::DeviceModelPtr()> build;
+  bool tabulate = false, symmetric = true;
   if (family == "alphan") {
     dev::AlphaPowerParams p;
     p.name = family;
@@ -953,14 +979,11 @@ device::DeviceModelPtr deck_model(const ModelCard& mc, const ParamEnv& env,
     check(p.r_source_ohm >= 0.0, "rs must be >= 0");
     check(p.r_drain_ohm >= 0.0, "rd must be >= 0");
     p.num_subbands = static_cast<int>(subbands);
-    append("box", box);
+    build = [p] { return std::make_shared<dev::CntfetModel>(p); };
+    tabulate = span > 0.0;
     // Unequal contacts break the source/drain exchange symmetry the
     // mirrored table relies on: tabulate reverse bias too.
-    const bool symmetric = p.r_source_ohm == p.r_drain_ohm;
-    build = [p, box, symmetric] {
-      return dev::make_tabulated(std::make_shared<dev::CntfetModel>(p), box,
-                                 97, 65, symmetric);
-    };
+    symmetric = p.r_source_ohm == p.r_drain_ohm;
   }
   if (!opts.empty()) {
     fail(mc.line_no, mc.line,
@@ -969,10 +992,15 @@ device::DeviceModelPtr deck_model(const ModelCard& mc, const ParamEnv& env,
   }
   const bool has_noise = noise.gamma != quiet.gamma ||
                          noise.kf != quiet.kf || noise.af != quiet.af;
-  dev::DeviceModelPtr model = ModelStore::instance().get(key, [&] {
+  ModelStore& store = ModelStore::instance();
+  dev::DeviceModelPtr model = store.get(key, [&] {
     dev::DeviceModelPtr m = build();
     return has_noise ? dev::with_noise(std::move(m), noise) : m;
   });
+  if (tabulate) {
+    append_key(key, "span", span);
+    model = store.get(key, [&] { return cnt_table(model, span, symmetric); });
+  }
   if (p_type) model = std::make_shared<dev::PTypeMirror>(std::move(model));
   return model;
 }
@@ -995,7 +1023,7 @@ std::string memo_key(const ModelCard& mc, const ParamEnv& env) {
 device::DeviceModelPtr resolve_model(const Deck& deck,
                                      const ModelRegistry& base,
                                      const ElementCard& card,
-                                     const ParamEnv& env, double box,
+                                     const ParamEnv& env, double span,
                                      ModelMemo* memo) {
   const ModelCard* mc = nullptr;
   for (const ModelCard& m : deck.models) {
@@ -1008,23 +1036,28 @@ device::DeviceModelPtr resolve_model(const Deck& deck,
     }
     return it->second;
   }
-  device::DeviceModelPtr model = deck_model(*mc, env, box);
+  device::DeviceModelPtr model = deck_model(*mc, env, span);
   if (memo) (*memo)[memo_key(*mc, env)] = model;
   return model;
 }
 
 // --- waveform construction --------------------------------------------------
 
+/// The interval of values a source or a node potential takes.
+struct Levels {
+  double lo = 0.0, hi = 0.0;
+};
+
 /// The waveform and AC magnitude of a v/i card, every value taken through
 /// @p finite (value token, what it is) -> its finite value, and the
-/// waveform arguments checked against what the waveform needs.  @p peak,
-/// when given, receives the largest magnitude the waveform reaches.
+/// waveform arguments checked against what the waveform needs.
+/// @p levels, when given, receives the interval the waveform spans.
 template <typename Finite>
 WaveformPtr build_wave(const ElementCard& card, const Finite& finite,
-                       double* ac_mag, double* peak = nullptr) {
+                       double* ac_mag, Levels* levels = nullptr) {
   *ac_mag = 0.0;
   WaveformPtr wave;
-  double top = 0.0;
+  Levels range;
   auto value = [&](const std::string& tok) {
     return finite(tok, "source value");
   };
@@ -1045,7 +1078,7 @@ WaveformPtr build_wave(const ElementCard& card, const Finite& finite,
                "PULSE wants rise, fall > 0 and period >= rise + fall + width");
         }
         wave = pulse(v[0], v[1], v[2], v[3], v[4], v[5], v[6]);
-        top = std::max(std::abs(v[0]), std::abs(v[1]));
+        range = {std::min(v[0], v[1]), std::max(v[0], v[1])};
       } else if (tag == "sin") {
         if (v.size() < 3 || v.size() > 5) {
           fail(card.line_no, card.line, "SIN wants 3-5 arguments");
@@ -1055,20 +1088,21 @@ WaveformPtr build_wave(const ElementCard& card, const Finite& finite,
         }
         wave = sine(v[0], v[1], v[2], v.size() > 3 ? v[3] : 0.0,
                     v.size() > 4 ? v[4] : 0.0);
-        top = std::abs(v[0]) + std::abs(v[1]);
+        range = {v[0] - std::abs(v[1]), v[0] + std::abs(v[1])};
       } else if (tag == "pwl") {
         if (v.size() < 4 || v.size() % 2 != 0) {
           fail(card.line_no, card.line, "PWL wants time/value pairs");
         }
         std::vector<std::pair<double, double>> pts;
-        top = 0.0;
+        range = {v[1], v[1]};
         for (size_t k = 0; k < v.size(); k += 2) {
           if (k > 0 && !(v[k] > v[k - 2])) {
             fail(card.line_no, card.line,
                  "PWL times must be strictly increasing");
           }
           pts.emplace_back(v[k], v[k + 1]);
-          top = std::max(top, std::abs(v[k + 1]));
+          range.lo = std::min(range.lo, v[k + 1]);
+          range.hi = std::max(range.hi, v[k + 1]);
         }
         wave = pwl(std::move(pts));
       } else {
@@ -1082,7 +1116,7 @@ WaveformPtr build_wave(const ElementCard& card, const Finite& finite,
         fail(card.line_no, card.line, "missing DC value");
       }
       wave = dc(value(card.values[i]));
-      top = std::abs(wave->dc_value());
+      range = {wave->dc_value(), wave->dc_value()};
       continue;
     }
     if (word == "ac") {
@@ -1093,53 +1127,107 @@ WaveformPtr build_wave(const ElementCard& card, const Finite& finite,
       continue;
     }
     wave = dc(value(tok));
-    top = std::abs(wave->dc_value());
+    range = {wave->dc_value(), wave->dc_value()};
   }
   if (!wave) fail(card.line_no, card.line, "missing source value");
-  if (peak) *peak = top;
+  if (levels) *levels = range;
   return wave;
 }
 
-/// The bias box of the deck's CNT tables at one step point: the largest
-/// magnitude an independent voltage source reaches (its DC value, PULSE
-/// and PWL levels, SIN offset plus amplitude, the ends of a .dc sweep), at
-/// least kMinTableBoxV; 0 when no .model card is a CNT-FET.  A value that
-/// does not evaluate is left to its own card to report.
-double table_box(const Deck& deck, const std::vector<ParamEnv>& envs) {
+/// The span [V] of the node potentials at one step point, which bounds
+/// every terminal difference of a device; 0 when no .model card is a
+/// CNT-FET, or when a current source leaves the potentials unbounded
+/// (cnfet/cpfet cards then evaluate the direct model).
+///
+/// Each voltage source holds the difference of its nodes within its levels
+/// (DC value, PULSE/PWL levels, SIN offset -/+ amplitude, joined with the
+/// ends of a .dc sweep over it), and each capacitor initial condition sets
+/// one at t = 0.  Those carry potential intervals out from ground, sources
+/// first.  A node none of them reaches stays within the hull of those they
+/// reach, since resistors, diodes and FET channels conduct from the higher
+/// potential to the lower.  The span is the hull's width, widened on both
+/// sides by each source or initial condition that reaches neither of its
+/// nodes, and at least kMinTableSpanV.  A value that does not evaluate is
+/// left to its own card to report.
+double potential_span(const Deck& deck, const std::vector<ParamEnv>& envs) {
   if (std::none_of(deck.models.begin(), deck.models.end(),
                    [](const ModelCard& mc) {
                      return mc.type == "cnfet" || mc.type == "cpfet";
                    })) {
     return 0.0;
   }
-  double box = kMinTableBoxV;
+  /// v(*a) - v(*b) within levels.
+  struct Rise {
+    const std::string* a;
+    const std::string* b;
+    Levels levels;
+  };
+  std::vector<Rise> sources, initial;
   const auto finite = [](const std::string& expr, const ParamEnv& env) {
     const double v = eval_expr(expr, env);
     if (!std::isfinite(v)) throw ParseError("non-finite value");
     return v;
   };
   for (const ElementCard& card : deck.elements) {
-    if (card.kind != 'v') continue;
-    const auto value = [&](const std::string& tok, const char*) {
-      return finite(tok, envs[card.scope]);
-    };
+    if (card.kind == 'i') return 0.0;
+    const ParamEnv& env = envs[card.scope];
     try {
-      double ac_mag = 0.0, peak = 0.0;
-      build_wave(card, value, &ac_mag, &peak);
-      box = std::max(box, peak);
+      if (card.kind == 'v') {
+        const auto value = [&](const std::string& tok, const char*) {
+          return finite(tok, env);
+        };
+        double ac_mag = 0.0;
+        Levels v;
+        build_wave(card, value, &ac_mag, &v);
+        for (const AnalysisCard& a : deck.analyses) {
+          if (a.kind != AnalysisCard::Kind::kDc || a.source != card.name) {
+            continue;
+          }
+          for (const std::string* end : {&a.start_expr, &a.stop_expr}) {
+            const double x = finite(*end, envs.front());
+            v = {std::min(v.lo, x), std::max(v.hi, x)};
+          }
+        }
+        sources.push_back({&card.nodes[0], &card.nodes[1], v});
+      } else if (card.kind == 'c') {
+        if (const auto* ic = find_option(card.options, "ic")) {
+          const double x = finite(*ic, env);
+          initial.push_back({&card.nodes[0], &card.nodes[1], {x, x}});
+        }
+      }
     } catch (const ParseError&) {
     }
   }
-  for (const AnalysisCard& a : deck.analyses) {
-    if (a.kind != AnalysisCard::Kind::kDc) continue;
-    for (const std::string* end : {&a.start_expr, &a.stop_expr}) {
-      try {
-        box = std::max(box, std::abs(finite(*end, envs.front())));
-      } catch (const ParseError&) {
+
+  std::map<std::string, Levels> at{{"0", Levels{}}};
+  Levels hull;
+  const auto reach = [&](const std::vector<Rise>& rises) {
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (const Rise& r : rises) {
+        const auto a = at.find(*r.a), b = at.find(*r.b);
+        if ((a == at.end()) == (b == at.end())) continue;
+        const Levels& d = r.levels;
+        const Levels v = a == at.end()
+                             ? Levels{b->second.lo + d.lo, b->second.hi + d.hi}
+                             : Levels{a->second.lo - d.hi, a->second.hi - d.lo};
+        at.emplace(a == at.end() ? *r.a : *r.b, v);
+        hull = {std::min(hull.lo, v.lo), std::max(hull.hi, v.hi)};
+        grew = true;
+      }
+    }
+  };
+  reach(sources);
+  reach(initial);
+  double span = hull.hi - hull.lo;
+  for (const std::vector<Rise>* rises : {&sources, &initial}) {
+    for (const Rise& r : *rises) {
+      if (!at.count(*r.a) && !at.count(*r.b)) {
+        span += 2.0 * std::max(std::abs(r.levels.lo), std::abs(r.levels.hi));
       }
     }
   }
-  return box;
+  return std::max(span, kMinTableSpanV);
 }
 
 }  // namespace
@@ -1212,7 +1300,7 @@ struct CardValues {
 
 CardValues eval_card(const Deck& deck, const ModelRegistry& base,
                      const ElementCard& card, const std::vector<ParamEnv>& envs,
-                     double box, ModelMemo* memo) {
+                     double span, ModelMemo* memo) {
   const ParamEnv& env = envs[card.scope];
   auto value = [&](const std::string& tok) {
     return eval_card_value(tok, env, card.line_no, card.line);
@@ -1263,7 +1351,7 @@ CardValues eval_card(const Deck& deck, const ModelRegistry& base,
       }
       break;
     case 'm':
-      out.model = resolve_model(deck, base, card, env, box, memo);
+      out.model = resolve_model(deck, base, card, env, span, memo);
       if (const auto* m = find_option(card.options, "m")) {
         out.mult = positive(*m, "multiplier m");
       }
@@ -1281,10 +1369,10 @@ std::unique_ptr<Circuit> instantiate(const Deck& deck,
                                      const ParamEnv& overrides,
                                      ModelMemo* memo) {
   const std::vector<ParamEnv> envs = resolve_scopes(deck, overrides);
-  const double box = table_box(deck, envs);
+  const double span = potential_span(deck, envs);
   auto ckt = std::make_unique<Circuit>();
   for (const ElementCard& card : deck.elements) {
-    const CardValues v = eval_card(deck, models, card, envs, box, memo);
+    const CardValues v = eval_card(deck, models, card, envs, span, memo);
     switch (card.kind) {
       case 'r':
         ckt->add_resistor(card.name, card.nodes[0], card.nodes[1], v.ohms);
@@ -1320,13 +1408,13 @@ std::unique_ptr<Circuit> instantiate(const Deck& deck,
 void retune(const Deck& deck, const ModelRegistry& models,
             const ParamEnv& overrides, Circuit& ckt, ModelMemo* memo) {
   const std::vector<ParamEnv> envs = resolve_scopes(deck, overrides);
-  const double box = table_box(deck, envs);
+  const double span = potential_span(deck, envs);
   const auto& elements = ckt.elements();
   CARBON_REQUIRE(elements.size() == deck.elements.size(),
                  "retune: circuit does not match the deck's card list");
   for (size_t i = 0; i < deck.elements.size(); ++i) {
     const ElementCard& card = deck.elements[i];
-    const CardValues v = eval_card(deck, models, card, envs, box, memo);
+    const CardValues v = eval_card(deck, models, card, envs, span, memo);
     Element* el = elements[i].get();
     switch (card.kind) {
       case 'r':

@@ -121,8 +121,9 @@ struct ElementCard {
 
 /// One `.model <name> <type>(key=val ...)` card.  Types: alphan/alphap
 /// (Sakurai–Newton alpha-power law), linn/linp (non-saturating linear FET),
-/// cnfet/cpfet (quasi-ballistic CNT-FET, compiled to a bicubic table whose
-/// bias box is the largest source voltage of the step point).  All types
+/// cnfet/cpfet (quasi-ballistic CNT-FET, compiled to a bicubic table over
+/// the span of the step point's node potentials, or evaluated directly in
+/// a deck with a current source, which bounds no potential).  All types
 /// accept the noise options gamma/kf/af.  The p-flavours share the n-model
 /// and wrap it in device::PTypeMirror.
 struct ModelCard {

@@ -818,8 +818,8 @@ std::string cnt_pair_deck(const std::string& n, const std::string& p,
 TEST(ModelStore, OneBuildPerKeyAcrossSessionsTopologiesAndCardNames) {
   sp::ModelStore& store = sp::ModelStore::instance();
   const long builds0 = store.stats().builds;
-  // Two topologies, two sessions, four card names, one key: ncnt and pcnt
-  // share the n-type model.
+  // Two topologies, two sessions, four card names, one model: ncnt and
+  // pcnt share the n-type device and its table.
   const std::string first = cnt_pair_deck("na", "pa", "13.3n", "0.5");
   const std::string second =
       cnt_pair_deck("nx", "px", "13.3n", "0.5") + "c1 mid 0 1f\n";
@@ -830,52 +830,164 @@ TEST(ModelStore, OneBuildPerKeyAcrossSessionsTopologiesAndCardNames) {
       ASSERT_TRUE(doc["ok"].as_bool()) << doc.dump(1);
     }
   }
-  EXPECT_EQ(store.stats().builds - builds0, 1);
+  // One CNT-FET and its table.
+  EXPECT_EQ(store.stats().builds - builds0, 2);
   // Another gate length is another model.
   const Json other =
       one.run_deck_text(cnt_pair_deck("na", "pa", "13.4n", "0.5"));
   ASSERT_TRUE(other["ok"].as_bool()) << other.dump(1);
-  EXPECT_EQ(store.stats().builds - builds0, 2);
+  EXPECT_EQ(store.stats().builds - builds0, 4);
 }
 
-TEST(ModelStore, SteppedSupplyBuildsOneTablePerDistinctBox) {
+TEST(ModelStore, SteppedSupplyBuildsOneDeviceAndOneTablePerDistinctSpan) {
   sp::ModelStore& store = sp::ModelStore::instance();
   const long builds0 = store.stats().builds;
   sp::SimSession session;
-  const Json doc = session.run_deck_text(
-      cnt_pair_deck("n", "p", "14.1n", "{vdd}") +
-      ".param vdd=0.31\n.step param vdd list 0.31 0.42 0.31 0.53\n");
-  ASSERT_TRUE(doc["ok"].as_bool()) << doc.dump(1);
-  EXPECT_EQ(store.stats().builds - builds0, 3);
+  const auto pair = [&](const std::string& steps) {
+    const Json doc = session.run_deck_text(
+        cnt_pair_deck("n", "p", "14.1n", "{vdd}") + ".param vdd=0.31\n" +
+        steps);
+    ASSERT_TRUE(doc["ok"].as_bool()) << doc.dump(1);
+  };
+  // One CNT-FET and a table for each of the three supplies.
+  pair(".step param vdd list 0.31 0.42 0.31 0.53\n");
+  EXPECT_EQ(store.stats().builds - builds0, 1 + 3);
+  // A fourth supply builds its table from the stored device.
+  pair(".step param vdd list 0.42 0.64\n");
+  EXPECT_EQ(store.stats().builds - builds0, 1 + 4);
+}
+
+/// A registry whose entries "n" and "p" evaluate the CNT-FET of @p params
+/// directly: the reference for decks whose .model cards tabulate it.
+sp::ModelRegistry direct_cnt_registry(
+    const carbon::device::CntfetParams& params) {
+  const auto n = std::make_shared<carbon::device::CntfetModel>(params);
+  sp::ModelRegistry registry;
+  registry["n"] = n;
+  registry["p"] = std::make_shared<carbon::device::PTypeMirror>(n);
+  return registry;
+}
+
+/// The first step of @p circuit, run with @p cards prepended in @p session.
+Json first_step(sp::SimSession& session, const std::string& cards,
+                const std::string& circuit) {
+  const Json doc = session.run_deck_text(cards + circuit);
+  EXPECT_TRUE(doc["ok"].as_bool()) << doc.dump(1);
+  return doc["steps"].at(0);
 }
 
 TEST(ModelStore, CntTablesCoverEveryDeck) {
-  // No source sets a box: the table gets the smallest one.
+  // Each deck runs on the tables of its .model cards and on the direct
+  // model, through registry entries its m-cards name.
+  const auto params = carbon::device::make_franklin_cntfet_params(15.5e-9);
   sp::SimSession session;
-  const Json alone = session.run_deck_text(
-      ".model n cnfet(l=15.5n)\ni1 0 d 1u\nmn d d 0 n\n.op\n");
-  EXPECT_TRUE(alone["ok"].as_bool()) << alone.dump(1);
+  sp::SimSession reference(direct_cnt_registry(params));
+  const std::string cards =
+      ".model n cnfet(l=15.5n)\n.model p cpfet(l=15.5n)\n";
+  const auto measure = [&](const std::string& circuit, const char* m) {
+    return std::make_pair(
+        first_step(session, cards, circuit)["measures"][m].as_double(),
+        first_step(reference, "", circuit)["measures"][m].as_double());
+  };
+  const auto sweep = [&](const std::string& circuit, const char* col) {
+    return std::make_pair(
+        column(first_step(session, cards, circuit)["analyses"].at(0)["table"],
+               col),
+        column(first_step(reference, "", circuit)["analyses"].at(0)["table"],
+               col));
+  };
+
+  // A current source bounds no potential: its deck evaluates the direct
+  // model, here at 0.36 V across a diode-connected device.
+  const auto [vd, vd_direct] =
+      measure("i1 0 d 1u\nmn d d 0 n\n.op\n.measure op vd value v(d)\n", "vd");
+  EXPECT_GT(vd_direct, 0.3);
+  EXPECT_EQ(vd, vd_direct);
+
+  // Split rails: the devices see 0.6 V from 0.3 V sources.
+  const auto [vtc, vtc_direct] = sweep(
+      "vdd vdd 0 0.3\nvss vss 0 -0.3\nvin in 0 0\nmp out in vdd p\n"
+      "mn out in vss n\n.dc vin -0.3 0.3 0.03\n.probe v(out)\n",
+      "v(out)");
+  ASSERT_EQ(vtc.size(), 21u);
+  ASSERT_EQ(vtc_direct.size(), vtc.size());
+  EXPECT_NEAR(vtc_direct.front(), 0.3, 1e-3);
+  EXPECT_NEAR(vtc_direct.back(), -0.3, 1e-3);
+  for (std::size_t i = 0; i < vtc.size(); ++i) {
+    EXPECT_NEAR(vtc[i], vtc_direct[i], 1e-4 * 0.6) << "row " << i;
+  }
+
+  // Stacked sources: a NAND2 whose supply and high input reach 0.45 V
+  // through two 0.225 V sources.  Its inner node x is held by leakage
+  // currents, where the table is good to about 1e-4 relative; the output
+  // is on the rail.
+  const std::string nand =
+      "v1 half 0 0.225\nv2 vdd half 0.225\nva a half 0.225\nvb b 0 0\n"
+      "mpa out a vdd p\nmpb out b vdd p\nmna out a x n\nmnb x b 0 n\n.op\n"
+      ".measure op out value v(out)\n.measure op x value v(x)\n";
+  const auto [out, out_direct] = measure(nand, "out");
+  const auto [x, x_direct] = measure(nand, "x");
+  EXPECT_GT(x_direct, 0.4);
+  EXPECT_NEAR(out, out_direct, 1e-6 * 0.45);
+  EXPECT_NEAR(x, x_direct, 1e-4 * 0.45);
+
+  // A gate 0.3 V below both source and drain: the off current keeps the
+  // direct model's sign and size.
+  const auto [off, off_direct] =
+      measure("vd d 0 0.6\nvs s 0 0.3\nvg g 0 0\nmn d g s n\n.op\n"
+              ".measure op id value i(vd)\n",
+              "id");
+  EXPECT_NE(off_direct, 0.0);
+  EXPECT_NEAR(off, off_direct, 0.01 * std::abs(off_direct));
+
+  // A .dc sweep takes the gate to 0.6 V past its 0 V value, and the
+  // device pulls its 100 kOhm load from the 0.3 V rail down to 20 mV.
+  const auto [load, load_direct] =
+      sweep("vdd vdd 0 0.3\nrl vdd d 100k\nvg g 0 0\nmn d g 0 n\n"
+            ".dc vg 0 0.6 0.3\n.probe v(d)\n",
+            "v(d)");
+  ASSERT_EQ(load.size(), 3u);
+  ASSERT_EQ(load_direct.size(), load.size());
+  EXPECT_LT(load_direct.back(), 0.05);
+  for (std::size_t i = 0; i < load.size(); ++i) {
+    EXPECT_NEAR(load[i], load_direct[i], 1e-4 * 0.3) << "row " << i;
+  }
+
+  // An initial condition starts the output at 0.6 V, above the 0.3 V
+  // supply, and the on n-FET discharges it.
+  const auto [early, early_direct] =
+      measure("vdd vdd 0 0.3\nvin in 0 0.3\nmp out in vdd p\nmn out in 0 n\n"
+              "c1 out 0 1f ic=0.6\n.tran 10p 1n ic=init\n.probe none\n"
+              ".measure tran early find v(out) at=0.5n\n",
+              "early");
+  EXPECT_GT(early_direct, 0.35);
+  EXPECT_LT(early_direct, 0.55);
+  EXPECT_NEAR(early, early_direct, 1e-4 * 0.6);
+
+  // A source between two nodes no source ties to ground lifts the gate to
+  // 0.45 V above a 0.15 V divider tap.
+  const auto [lifted, lifted_direct] =
+      measure("vdd vdd 0 0.3\nr1 vdd tap 1k\nr2 tap 0 1k\nvx in tap 0.3\n"
+              "vd d 0 0.3\nmn d in 0 n\n.op\n.measure op id value i(vd)\n",
+              "id");
+  EXPECT_GT(std::abs(lifted_direct), 1e-6);
+  EXPECT_NEAR(lifted, lifted_direct, 1e-3 * std::abs(lifted_direct));
 
   // Unequal contacts break the source/drain symmetry the mirror assumes:
   // the table spans reverse bias and follows the direct model there.
-  carbon::device::CntfetParams p =
-      carbon::device::make_franklin_cntfet_params(15.5e-9);
-  p.r_source_ohm = 5e3;
-  sp::ModelRegistry registry;
-  registry["n"] = std::make_shared<carbon::device::CntfetModel>(p);
-  sp::SimSession reference(registry);
-  const std::string circuit =
+  carbon::device::CntfetParams asym = params;
+  asym.r_source_ohm = 5e3;
+  sp::SimSession asym_reference(direct_cnt_registry(asym));
+  const std::string reverse =
       "vd d 0 0.4\nvg g 0 0.45\nmn 0 g d n\n.op\n"
       ".measure op id value i(vd)\n";
-  const Json tab =
-      session.run_deck_text(".model n cnfet(l=15.5n rs=5k)\n" + circuit);
-  const Json ref = reference.run_deck_text(circuit);
-  ASSERT_TRUE(tab["ok"].as_bool()) << tab.dump(1);
-  ASSERT_TRUE(ref["ok"].as_bool()) << ref.dump(1);
-  const double id = ref["steps"].at(0)["measures"]["id"].as_double();
-  EXPECT_GT(std::abs(id), 1e-7);
-  EXPECT_NEAR(tab["steps"].at(0)["measures"]["id"].as_double(), id,
-              0.01 * std::abs(id));
+  const double rev_direct =
+      first_step(asym_reference, "", reverse)["measures"]["id"].as_double();
+  EXPECT_GT(std::abs(rev_direct), 1e-7);
+  EXPECT_NEAR(first_step(session, ".model n cnfet(l=15.5n rs=5k)\n",
+                         reverse)["measures"]["id"]
+                  .as_double(),
+              rev_direct, 0.01 * std::abs(rev_direct));
 }
 
 TEST(ModelStore, EvictsTheLeastRecentlyUsedAndCircuitsKeepTheirModels) {

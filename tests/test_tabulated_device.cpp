@@ -11,7 +11,6 @@
 #include "circuit/vtc.h"
 #include "device/alpha_power.h"
 #include "device/cntfet.h"
-#include "device/linear_fet.h"
 #include "device/tabulated.h"
 #include "phys/interp.h"
 #include "phys/require.h"
@@ -275,29 +274,6 @@ TEST(TabulatedModel, MakeTabulatedGuardsAndMirrors) {
   }
   EXPECT_THROW(dev::make_tabulated(base, -1.0),
                carbon::phys::PreconditionError);
-}
-
-TEST(TabulatedModel, UnmirroredGridSpansReverseBias) {
-  // I = G(vgs) vds breaks the source/drain exchange symmetry the mirror
-  // assumes: G(vgs) vds != G(vgs - vds) vds.  Without the mirror the grid
-  // covers vds < 0 at the forward spacing and follows the model there.
-  dev::LinearFetParams p = dev::make_fig2_linear_params();
-  p.v_t = 0.3;
-  auto base = std::make_shared<dev::LinearFetModel>(p);
-  const auto tab = std::dynamic_pointer_cast<const dev::TabulatedDeviceModel>(
-      dev::make_tabulated(base, 1.0, 49, 33, false));
-  ASSERT_NE(tab, nullptr);
-  EXPECT_FALSE(tab->grid().mirror_vds);
-  EXPECT_DOUBLE_EQ(tab->grid().vds_min, -1.1);
-  EXPECT_EQ(tab->grid().n_vds, 65);
-  for (double vgs : {0.2, 0.5, 0.9}) {
-    for (double vds : {-0.9, -0.4, -0.05, 0.3}) {
-      const double exact = base->drain_current(vgs, vds);
-      EXPECT_NEAR(tab->drain_current(vgs, vds), exact,
-                  std::max(1e-9, 0.01 * std::abs(exact)))
-          << "at vgs=" << vgs << " vds=" << vds;
-    }
-  }
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ robustness contract:
     matching carbon_requests_total{outcome=X} counter, the
     queue-wait histogram count equals the started run requests once the
     storm quiesces, and carbon_model_store_total{event="build"} equals
-    the number of distinct device-model keys the run sent;
+    the number of distinct model-store keys the run sent;
   * SIGTERM drains gracefully: the process exits 0 within the drain
     budget after finishing or cancelling in-flight work.
 
@@ -73,8 +73,9 @@ CNT_L0_DECK = ".model n cnfet(l=0)\nv1 d 0 0.5\nmn d d 0 n\n.op\n.end\n"
 ALPHA0_DECK = ".model n alphan(alpha=0)\nv1 d 0 1\nmn d d 0 n\n.op\n.end\n"
 PARSE_DECKS = [PARSE_DECK, STEP_DECK, DC_DECK, NEG_R_DECK, INF_DECK,
                NAN_SOURCE_DECK, PULSE_DECK, CNT_L0_DECK, ALPHA0_DECK]
-# A CNT NAND2 truth table: ncnt and pcnt share one model-store key, the
-# only device model any deck of the run builds.
+# A CNT NAND2 truth table: ncnt and pcnt share one model-store key for the
+# CNT-FET and one for its table at the deck's span, the only models any
+# deck of the run builds.
 NAND2_DECK = (
     ".param vdd=0.45 a=0 b=0\n"
     ".model ncnt cnfet(l=18n)\n.model pcnt cpfet(l=18n)\n"
@@ -84,7 +85,7 @@ NAND2_DECK = (
     ".op\n.step param a list 0 1\n.step param b list 0 1\n"
     ".probe none\n.measure op out value v(out)\n.end\n"
 )
-MODEL_KEYS = 1
+MODEL_KEYS = 2
 # One small-signal pass serves both cards; the second measure reads a
 # column the .ac table lacks and must come back null, not fail the deck.
 AC_DECK = (

@@ -646,26 +646,39 @@ double vsource_current(const Circuit& ckt, const Solution& sol,
   return sol.x[row - 1];
 }
 
-std::vector<NodeId> resolve_probes(const Circuit& ckt,
-                                   const std::vector<std::string>& probes) {
-  std::vector<NodeId> ids;
-  ids.reserve(probes.size());
-  for (const auto& p : probes) ids.push_back(ckt.find_node(p));
-  return ids;
+ProbeColumns::ProbeColumns(Circuit& ckt, const std::vector<std::string>& nodes,
+                           const std::vector<const VSource*>& currents) {
+  ckt.assign_branches();
+  for (const auto& p : nodes) {
+    labels.push_back("v(" + p + ")");
+    rows.push_back(ckt.find_node(p));
+  }
+  for (const VSource* src : currents) {
+    labels.push_back("i(" + src->name() + ")");
+    rows.push_back(ckt.vsource_branch_index(*src));
+  }
 }
+
+namespace {
+
+/// An analysis table: the abscissa column @p x, then @p probes' columns.
+phys::DataTable probe_table(const char* x, const ProbeColumns& probes) {
+  std::vector<std::string> cols{x};
+  cols.insert(cols.end(), probes.labels.begin(), probes.labels.end());
+  return phys::DataTable(std::move(cols));
+}
+
+}  // namespace
 
 phys::DataTable dc_sweep(Circuit& ckt, VSource& swept,
                          const std::vector<double>& values,
                          const std::vector<std::string>& probes,
+                         const std::vector<const VSource*>& current_probes,
                          const SolverOptions& opts, NewtonWorkspace* ws) {
   CARBON_REQUIRE(!values.empty(), "empty sweep");
   CARBON_REQUIRE(!probes.empty(), "no probe nodes");
-  std::vector<std::string> cols{"sweep_v"};
-  for (const auto& p : probes) cols.push_back("v(" + p + ")");
-  phys::DataTable table(cols);
-
-  // Probe names resolve to node ids once, not once per point.
-  const std::vector<NodeId> probe_ids = resolve_probes(ckt, probes);
+  const ProbeColumns cols(ckt, probes, current_probes);
+  phys::DataTable table = probe_table("sweep_v", cols);
 
   // One workspace for the whole sweep: the matrix pattern, slot tables and
   // LU buffers persist across points, and each point warm-starts from the
@@ -686,9 +699,7 @@ phys::DataTable dc_sweep(Circuit& ckt, VSource& swept,
         operating_point(ckt, opts, warm.empty() ? nullptr : &warm, &work);
     warm = sol.x;
     std::vector<double> row{v};
-    for (const NodeId id : probe_ids) {
-      row.push_back(id == 0 ? 0.0 : sol.x[id - 1]);
-    }
+    for (const int r : cols.rows) row.push_back(r == 0 ? 0.0 : sol.x[r - 1]);
     table.add_row(row);
   }
   return table;
@@ -707,10 +718,9 @@ namespace {
 /// LTE the controller worked to bound.
 class TransientRecorder {
  public:
-  TransientRecorder(phys::DataTable& table, std::vector<NodeId> probe_ids,
-                    std::vector<int> branch_rows, double dt_print)
-      : table_(table), probe_ids_(std::move(probe_ids)),
-        branch_rows_(std::move(branch_rows)), dt_print_(dt_print) {}
+  TransientRecorder(phys::DataTable& table, std::vector<int> rows,
+                    double dt_print)
+      : table_(table), rows_(std::move(rows)), dt_print_(dt_print) {}
 
   void initial(const std::vector<double>& x) {
     emit_point(0.0, x);
@@ -747,15 +757,17 @@ class TransientRecorder {
   }
 
  private:
-  void emit_point(double t, const std::vector<double>& x) {
-    row_.clear();
-    row_.push_back(t);
-    for (const NodeId id : probe_ids_) {
-      row_.push_back(id == 0 ? 0.0 : x[id - 1]);
-    }
-    for (const int br : branch_rows_) row_.push_back(x[br - 1]);
+  /// Record the row at time @p t whose solution entry i reads value(i).
+  template <typename Value>
+  void emit(double t, const Value& value) {
+    row_.assign(1, t);
+    for (const int r : rows_) row_.push_back(r == 0 ? 0.0 : value(r - 1));
     table_.add_row(row_);
     last_t_ = t;
+  }
+
+  void emit_point(double t, const std::vector<double>& x) {
+    emit(t, [&](int i) { return x[i]; });
   }
 
   void emit_interp(double t, double t0, const std::vector<double>& x0,
@@ -772,23 +784,14 @@ class TransientRecorder {
       w0 = 1.0 - f;
       w1 = f;
     }
-    row_.clear();
-    row_.push_back(t);
-    const auto interp = [&](int idx) {
-      const double quad = wm == 0.0 ? 0.0 : wm * x_m1_[idx];
-      return quad + w0 * x0[idx] + w1 * x1[idx];
-    };
-    for (const NodeId id : probe_ids_) {
-      row_.push_back(id == 0 ? 0.0 : interp(id - 1));
-    }
-    for (const int br : branch_rows_) row_.push_back(interp(br - 1));
-    table_.add_row(row_);
-    last_t_ = t;
+    emit(t, [&](int i) {
+      const double quad = wm == 0.0 ? 0.0 : wm * x_m1_[i];
+      return quad + w0 * x0[i] + w1 * x1[i];
+    });
   }
 
   phys::DataTable& table_;
-  std::vector<NodeId> probe_ids_;
-  std::vector<int> branch_rows_;
+  std::vector<int> rows_;  ///< ProbeColumns::rows
   double dt_print_ = 0.0;
   double next_print_ = 0.0;
   double last_t_ = -1.0;
@@ -814,13 +817,9 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
                  "transient needs positive t_stop and dt");
   CARBON_REQUIRE(!probes.empty(), "no probe nodes");
 
-  std::vector<std::string> cols{"time_s"};
-  for (const auto& p : probes) cols.push_back("v(" + p + ")");
-  for (const auto* src : current_probes) cols.push_back("i(" + src->name() + ")");
-  phys::DataTable table(cols);
-
   ckt.reset_state();
-  ckt.assign_branches();
+  ProbeColumns cols(ckt, probes, current_probes);
+  phys::DataTable table = probe_table("time_s", cols);
 
   // Workspace shared by the initial OP and every time step — and, when the
   // caller provides one (a session's cached topology), across whole
@@ -834,15 +833,6 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
   Solution sol = operating_point(ckt, opts.solver, nullptr, &ws);
   std::vector<double> x = sol.x;
   std::vector<double> x_try, x_pred;
-
-  // Resolve probe nodes and source branch rows once; the record loop runs
-  // every accepted time step.
-  const std::vector<NodeId> probe_ids = resolve_probes(ckt, probes);
-  std::vector<int> branch_rows;
-  branch_rows.reserve(current_probes.size());
-  for (const auto* src : current_probes) {
-    branch_rows.push_back(ckt.vsource_branch_index(*src));
-  }
 
   if (opts.ic == TransientIc::kFromOperatingPoint) {
     StampContext ic_ctx;
@@ -859,7 +849,7 @@ phys::DataTable transient(Circuit& ckt, const TransientOptions& opts,
   run.op = sol.stats;
   st = run;
 
-  TransientRecorder rec(table, probe_ids, branch_rows, opts.dt_print);
+  TransientRecorder rec(table, std::move(cols.rows), opts.dt_print);
   rec.initial(x);
 
   // Stamp-context prototype shared by every step.

@@ -347,26 +347,35 @@ Solution operating_point(Circuit& ckt, const SolverOptions& opts = {},
 double node_voltage(const Circuit& ckt, const Solution& sol,
                     const std::string& node_name);
 
-/// Resolve probe names to node ids once per analysis (sweep/transient/AC
-/// record loops then index the solution vector directly instead of doing a
-/// name lookup per point).  Throws on unknown nodes.
-std::vector<NodeId> resolve_probes(const Circuit& ckt,
-                                   const std::vector<std::string>& probes);
-
 /// Current through a voltage source (positive = into its + terminal,
 /// i.e. SPICE convention: current delivered *into* the source).
 double vsource_current(const Circuit& ckt, const Solution& sol,
                        const VSource& src);
 
-/// Sweep a voltage source and record node voltages.
-/// Columns: sweep value, then one column per probe node.  The swept
-/// source's waveform is restored when the sweep returns or throws.
+/// The signals an analysis records, resolved against its circuit once:
+/// probe nodes labelled "v(<node>)", then source currents labelled
+/// "i(<source>)", each read from solution entry x[row - 1] (row 0 is
+/// ground, which reads 0).  The .op, .dc, .tran and .ac tables record
+/// through it, so record loops index the solution directly.  Assigns the
+/// circuit's branch rows; throws on unknown nodes.
+struct ProbeColumns {
+  ProbeColumns(Circuit& ckt, const std::vector<std::string>& nodes,
+               const std::vector<const VSource*>& currents);
+  std::vector<std::string> labels;
+  std::vector<int> rows;  ///< 1-based MNA rows, one per label
+};
+
+/// Sweep a voltage source and record node voltages and source currents.
+/// Columns: sweep_v, then "v(<node>)" per probe node and "i(<src>)" per
+/// tracked source.  The swept source's waveform is restored when the
+/// sweep returns or throws.
 /// @param ws  optional caller-owned workspace (see operating_point); a
 ///            session running many sweeps on one topology passes the same
 ///            one so the pattern/symbolic work is done once, not per sweep.
 phys::DataTable dc_sweep(Circuit& ckt, VSource& swept,
                          const std::vector<double>& values,
                          const std::vector<std::string>& probes,
+                         const std::vector<const VSource*>& current_probes = {},
                          const SolverOptions& opts = {},
                          NewtonWorkspace* ws = nullptr);
 

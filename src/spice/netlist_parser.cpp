@@ -54,28 +54,14 @@ std::vector<std::string> tokenize(const std::string& line) {
 }
 
 /// Extract the arguments of a "tag(a b c)" token; false if not that form.
-/// Braced sub-expressions survive as single arguments.
+/// The arguments split as a card does: braced sub-expressions survive as
+/// single arguments (a token holds no ';' for tokenize to stop at).
 bool split_call(const std::string& token, std::string* tag,
                 std::vector<std::string>* args) {
   const auto open = token.find('(');
   if (open == std::string::npos || token.back() != ')') return false;
   *tag = lower(token.substr(0, open));
-  const std::string inner = token.substr(open + 1, token.size() - open - 2);
-  std::string piece;
-  int depth = 0;
-  args->clear();
-  for (char c : inner) {
-    if (c == '(' || c == '{') ++depth;
-    if (c == ')' || c == '}') --depth;
-    if ((std::isspace(static_cast<unsigned char>(c)) || c == ',') &&
-        depth == 0) {
-      if (!piece.empty()) args->push_back(piece);
-      piece.clear();
-    } else {
-      piece.push_back(c);
-    }
-  }
-  if (!piece.empty()) args->push_back(piece);
+  *args = tokenize(token.substr(open + 1, token.size() - open - 2));
   return true;
 }
 
@@ -419,19 +405,19 @@ std::vector<RawCard> logical_lines(const std::string& text) {
   return out;
 }
 
-/// Signal reference "v(node)" / "i(source)"; bare tokens count as nodes.
-bool parse_signal(const std::string& token, std::string* kind,
-                  std::string* name) {
+/// The one signal grammar (see Signal): "v(<node>)" or a bare node name,
+/// "i(<source>)".  False on anything else: another tag, other than one
+/// argument, a bracket in a bare name.
+bool parse_signal(const std::string& token, Signal* out) {
   std::string tag;
   std::vector<std::string> args;
   if (split_call(token, &tag, &args)) {
     if ((tag != "v" && tag != "i") || args.size() != 1) return false;
-    *kind = tag;
-    *name = lower(args[0]);
+    *out = {tag == "i", lower(args[0])};
     return true;
   }
-  *kind = "v";
-  *name = lower(token);
+  if (token.find_first_of("()") != std::string::npos) return false;
+  *out = {false, lower(token)};
   return true;
 }
 
@@ -713,12 +699,12 @@ AnalysisCard parse_analysis_card(const RawCard& card,
       fail(card.line_no, card.text,
            ".noise wants: v(out) input dec points fstart fstop");
     }
-    std::string kind, name;
-    if (!parse_signal(tokens[1], &kind, &name) || kind != "v") {
+    Signal out;
+    if (!parse_signal(tokens[1], &out) || out.current) {
       fail(card.line_no, card.text, ".noise output must be v(<node>)");
     }
     a.kind = AnalysisCard::Kind::kNoise;
-    a.output = name;
+    a.output = out.name;
     a.source = lower(tokens[2]);
     a.npd_expr = tokens[4];
     a.fstart_expr = tokens[5];
@@ -764,7 +750,11 @@ MeasureCard parse_measure_card(const RawCard& card) {
       m.options.emplace_back(t, "1");
       continue;
     }
-    m.signals.push_back(tokens[i]);
+    if (!parse_signal(tokens[i], &m.signals.emplace_back())) {
+      fail(card.line_no, card.text,
+           ".measure wants v(<node>) / i(<vsource>) signals, got '" +
+               tokens[i] + "'");
+    }
   }
   return m;
 }
@@ -1553,8 +1543,9 @@ Deck parse_deck(const std::string& text, const ModelRegistry& /*models*/) {
       continue;
     }
     if (head == ".options" || head == ".option") {
-      for (auto& kv : parse_options(card.tokens, 1, card.line_no, card.text)) {
-        deck.options.push_back(std::move(kv));
+      for (auto& [k, v] :
+           parse_options(card.tokens, 1, card.line_no, card.text)) {
+        deck.options.push_back({k, v, card.line_no, card.text});
       }
       continue;
     }
@@ -1564,13 +1555,13 @@ Deck parse_deck(const std::string& text, const ModelRegistry& /*models*/) {
         continue;
       }
       for (size_t i = 1; i < card.tokens.size(); ++i) {
-        std::string kind, name;
-        if (!parse_signal(card.tokens[i], &kind, &name)) {
+        Signal sig;
+        if (!parse_signal(card.tokens[i], &sig)) {
           fail(card.line_no, card.text,
                ".probe wants v(<node>) / i(<vsource>) entries");
         }
-        auto& probes = kind == "v" ? deck.probe_nodes : deck.probe_currents;
-        probes.push_back({name, card.line_no, card.text});
+        auto& probes = sig.current ? deck.probe_currents : deck.probe_nodes;
+        probes.push_back({sig.name, card.line_no, card.text});
       }
       continue;
     }

@@ -88,7 +88,8 @@ using ParamEnv = std::map<std::string, double>;
 /// (line 0) on malformed expressions or unknown parameters.
 double eval_expr(const std::string& expr, const ParamEnv& env);
 
-/// One `name=expr` parameter definition.
+/// One `name=expr` definition and its card: a `.param` or subcircuit
+/// parameter, or a `.options` setting.
 struct ParamSpec {
   std::string name;
   std::string expr;
@@ -157,6 +158,14 @@ struct AnalysisCard {
   std::string line;
 };
 
+/// A signal as `.probe`, `.noise` and `.measure` cards name it, in their
+/// one grammar: a node voltage, `v(<node>)` or the bare node name, or a
+/// voltage source's current, `i(<source>)`.
+struct Signal {
+  bool current = false;  ///< i(<source>)
+  std::string name;      ///< the node or source, lowercase
+};
+
 /// One `.measure <analysis> <name> <fn> <signals...> [key=val] [flags]`
 /// card, mapped onto spice/measure.h by the session:
 ///   max|min|avg|rms|pp <sig> [from=] [to=]   — column statistics
@@ -169,18 +178,19 @@ struct AnalysisCard {
 ///   vtc    <in-sig> <out-sig> vdd=<v> metric=<gain|nml|nmh|vil|vih|
 ///                                              vol|voh|vswitch>
 ///   value  <sig>                              — OP node voltage / current
+/// On a .noise table a signal's name is the column (`onoise_v2_hz`).
 struct MeasureCard {
   std::string analysis;  ///< "op" "dc" "tran" "ac" "noise"
   std::string name;
   std::string fn;
-  std::vector<std::string> signals;  ///< "v(out)", "i(vdd)", ...
+  std::vector<Signal> signals;
   std::vector<std::pair<std::string, std::string>> options;  ///< + flags=""
   int line_no = 0;
   std::string line;
 };
 
-/// Most points a `.step` grid or a `.dc` sweep may hold: both are built in
-/// full before the first solve.
+/// Most points a `.step` grid, a `.dc` sweep or an `.ac`/`.noise`
+/// frequency grid may hold: each is built in full before the first solve.
 inline constexpr int kMaxSweepPoints = 10000;
 
 /// One `.step param <name> <start> <stop> <incr>` or
@@ -220,7 +230,7 @@ struct Deck {
   std::vector<ProbeRef> probe_currents;
   bool probe_none = false;  ///< `.probe none`: measures only, no tables
 
-  std::vector<std::pair<std::string, std::string>> options;  ///< .options
+  std::vector<ParamSpec> options;  ///< .options settings, each with its card
 
   /// Canonical value-free description of the flattened topology (element
   /// kinds, names, nodes) and its FNV-1a hash — the session-cache key:

@@ -26,29 +26,6 @@ std::string lower(std::string s) {
   return s;
 }
 
-/// "v(out)" / "i(vdd)" / bare token -> (is_current, name).  Bare tokens
-/// count as node voltages (and as literal column names for noise tables).
-struct Signal {
-  bool current = false;
-  std::string name;
-};
-
-Signal parse_signal(const std::string& token, int line_no,
-                    const std::string& line) {
-  const auto open = token.find('(');
-  if (open == std::string::npos) return {false, lower(token)};
-  if (token.back() != ')') {
-    throw ParseError("malformed signal reference: " + token, line_no, line);
-  }
-  const std::string tag = lower(token.substr(0, open));
-  const std::string name =
-      lower(token.substr(open + 1, token.size() - open - 2));
-  if (tag == "v") return {false, name};
-  if (tag == "i") return {true, name};
-  throw ParseError("unknown signal kind '" + tag + "' in " + token, line_no,
-                   line);
-}
-
 void push_unique(std::vector<std::string>& out, const std::string& name) {
   if (std::find(out.begin(), out.end(), name) == out.end()) {
     out.push_back(name);
@@ -123,10 +100,10 @@ struct DeckPlan {
   /// Throws ParseError, naming the card where there is one, for what no
   /// solve should be left to find: a circuit with no node, a .probe or
   /// .noise output naming a node the circuit lacks, an unknown .options
-  /// key (strict: a typo'd key is an error, not an ignored knob), a
-  /// `.probe i()`, .dc or .noise source that is no voltage source, a
-  /// malformed measure signal.
-  DeckPlan(const Deck& deck, Circuit& ckt, bool tables) : deck_(deck) {
+  /// key (strict: a typo'd key is an error, not an ignored knob) or a
+  /// value no solve can run with, a `.probe i()`, .dc or .noise source
+  /// that is no voltage source.
+  DeckPlan(const Deck& deck, Circuit& ckt) : deck_(deck) {
     if (ckt.num_nodes() == 0) {
       throw ParseError("deck has no circuit node to solve for");
     }
@@ -143,19 +120,40 @@ struct DeckPlan {
                          card.line_no, card.line);
       }
     }
-    for (const auto& [k, v] : deck.options) {
-      if (k == "reltol") {
-        solver.reltol = parse_spice_number(v);
-      } else if (k == "abstol" || k == "vabstol") {
-        solver.v_abstol = parse_spice_number(v);
-      } else if (k == "maxiter") {
-        solver.max_iterations = static_cast<int>(parse_spice_number(v));
-      } else if (k == "gmin") {
-        solver.gmin_final = parse_spice_number(v);
-      } else if (k == "temp") {
-        temperature_k = parse_spice_number(v);
+    for (const ParamSpec& o : deck.options) {
+      // The value of @p o if it passes @p ok; ParseError at its card
+      // otherwise.
+      const auto value = [&](bool ok(double), const char* want) {
+        double v = 0.0;
+        try {
+          v = parse_spice_number(o.expr);
+        } catch (const ParseError& e) {
+          throw ParseError(e.reason(), o.line_no, o.line);
+        }
+        if (!ok(v)) {
+          throw ParseError(".options " + o.name + " must be " + want,
+                           o.line_no, o.line);
+        }
+        return v;
+      };
+      const auto positive = [](double v) { return v > 0.0; };
+      const auto iterations = [](double v) {
+        return v >= 1.0 && v <= 1000.0 && v == std::floor(v);
+      };
+      if (o.name == "reltol") {
+        solver.reltol = value(positive, "> 0");
+      } else if (o.name == "abstol" || o.name == "vabstol") {
+        solver.v_abstol = value(positive, "> 0");
+      } else if (o.name == "maxiter") {
+        solver.max_iterations =
+            static_cast<int>(value(iterations, "an integer in 1..1000"));
+      } else if (o.name == "gmin") {
+        solver.gmin_final = value([](double v) { return v >= 0.0; }, ">= 0");
+      } else if (o.name == "temp") {
+        temperature_k = value(positive, "> 0");
       } else {
-        throw ParseError("unknown .options key '" + k + "'");
+        throw ParseError("unknown .options key '" + o.name + "'", o.line_no,
+                         o.line);
       }
     }
     // The circuit was built from the deck's card list, element for card.
@@ -175,11 +173,8 @@ struct DeckPlan {
       if (card.kind == Kind::kDc || card.kind == Kind::kNoise) {
         a.source = vsource(card.source, card.line_no, card.line);
       }
-      // .op records columns only into a table it emits; .noise has fixed
-      // columns.
-      if (card.kind != Kind::kNoise && (card.kind != Kind::kOp || tables)) {
-        add_probes(ckt, a);
-      }
+      // .noise has fixed columns.
+      if (card.kind != Kind::kNoise) add_probes(ckt, a);
     }
   }
 
@@ -223,8 +218,7 @@ struct DeckPlan {
     }
     for (const MeasureCard& m : deck_.measures) {
       if (m.analysis != kind) continue;
-      for (const std::string& s : m.signals) {
-        const Signal sig = parse_signal(s, m.line_no, m.line);
+      for (const Signal& sig : m.signals) {
         if (!sig.current && ckt.has_node(sig.name)) {
           push_unique(a.probes, sig.name);
         } else if (sig.current && vsources.count(sig.name)) {
@@ -343,9 +337,9 @@ class StepRunner {
   }
 
   /// The AcOptions of an .ac/.noise card.  Rejects what log_frequency_grid
-  /// cannot march: a non-positive start, a stop not above the start, and
+  /// cannot march: a non-positive start, a stop not above the start,
   /// fewer than 1 or more than 1e6 points per decade (the cap keeps the
-  /// point count of any finite range representable).
+  /// cast to int defined), and more than kMaxSweepPoints points.
   AcOptions read_frequency_grid(const AnalysisCard& card) const {
     AcOptions opt;
     const double npd = eval_in_env(card.npd_expr, card.line_no, card.line);
@@ -358,6 +352,15 @@ class StepRunner {
           card.line_no, card.line);
     }
     opt.points_per_decade = static_cast<int>(npd);
+    // log_frequency_grid's point count, counted as a double like .dc's.
+    const double points =
+        std::ceil(std::log10(opt.f_stop_hz / opt.f_start_hz) *
+                  opt.points_per_decade) + 1.0;
+    if (!(points <= kMaxSweepPoints)) {
+      throw ParseError(std::string(".") + analysis_kind_name(card.kind) +
+                           " sweep over 10000 points",
+                       card.line_no, card.line);
+    }
     opt.temperature_k = plan_.temperature_k;
     opt.dc = solver();
     opt.workspace = &ws_;
@@ -491,30 +494,32 @@ class StepRunner {
     return out;
   }
 
+  /// .op records its probes as a one-row table, which the `value` measure
+  /// reads, and renders the row as its voltages and currents.
   void run_op(const PlannedAnalysis& a, core::Json& out) {
-    op_ = operating_point(ckt_, solver(), nullptr, &ws_);
-    have_op_ = true;
-    out.set("stats", to_json(op_.stats));
+    const Solution op = operating_point(ckt_, solver(), nullptr, &ws_);
+    out.set("stats", to_json(op.stats));
+    ProbeColumns cols(ckt_, a.probes, a.currents);
+    std::vector<double> row;
+    for (const int r : cols.rows) row.push_back(r == 0 ? 0.0 : op.x[r - 1]);
     if (emit_tables()) {
       auto voltages = core::Json::object();
-      for (const std::string& node : a.probes) {
-        voltages.set("v(" + node + ")", node_voltage(ckt_, op_, node));
+      auto currents = core::Json::object();
+      for (std::size_t k = 0; k < row.size(); ++k) {
+        (k < a.probes.size() ? voltages : currents).set(cols.labels[k], row[k]);
       }
       out.set("voltages", std::move(voltages));
-      if (!a.currents.empty()) {
-        auto ij = core::Json::object();
-        for (const VSource* src : a.currents) {
-          ij.set("i(" + src->name() + ")", vsource_current(ckt_, op_, *src));
-        }
-        out.set("currents", std::move(ij));
-      }
+      if (!a.currents.empty()) out.set("currents", std::move(currents));
     }
+    phys::DataTable table(std::move(cols.labels));
+    table.add_row(row);
+    tables_.insert_or_assign("op", std::move(table));
   }
 
   void run_dc(const PlannedAnalysis& a, const AnalysisValues& v,
               core::Json& out) {
-    phys::DataTable table =
-        dc_sweep(ckt_, *a.source, v.sweep, a.probes, solver(), &ws_);
+    phys::DataTable table = dc_sweep(ckt_, *a.source, v.sweep, a.probes,
+                                     a.currents, solver(), &ws_);
     out.set("source", a.card->source);
     if (emit_tables()) {
       out.set("table", table_json(table));
@@ -624,14 +629,14 @@ class StepRunner {
     return it->second;
   }
 
-  Signal signal_at(const MeasureCard& m, size_t index) const {
+  const Signal& signal_at(const MeasureCard& m, size_t index) const {
     if (index >= m.signals.size()) {
       throw ParseError(
           "measure '" + m.name + "' (" + m.fn + ") wants " +
               std::to_string(index + 1) + " signal(s)",
           m.line_no, m.line);
     }
-    return parse_signal(m.signals[index], m.line_no, m.line);
+    return m.signals[index];
   }
 
   core::Json measure_value(const MeasureCard& m) const {
@@ -645,27 +650,11 @@ class StepRunner {
 
   double measure_value_raw(const MeasureCard& m) const {
     const bool rising = find_option(m.options, "fall") == nullptr;
-    if (m.fn == "value") {
-      if (m.analysis != "op") {
-        throw ParseError("measure fn 'value' reads the .op solution",
-                         m.line_no, m.line);
-      }
-      if (!have_op_) {
-        throw ParseError("measure '" + m.name + "': no .op analysis was run",
-                         m.line_no, m.line);
-      }
-      const Signal sig = signal_at(m, 0);
-      if (sig.current) {
-        const VSource* src = plan_.vsource(sig.name, m.line_no, m.line);
-        return vsource_current(ckt_, op_, *src);
-      }
-      if (!ckt_.has_node(sig.name)) {
-        throw ParseError("measure '" + m.name + "': no node " + sig.name,
-                         m.line_no, m.line);
-      }
-      return node_voltage(ckt_, op_, sig.name);
+    // The .op table is one row, and `value` is what reads it.
+    if ((m.fn == "value") != (m.analysis == "op")) {
+      throw ParseError("measure fn 'value' reads the .op solution, and no "
+                       "other fn does", m.line_no, m.line);
     }
-
     const phys::DataTable& table = table_for(m);
     // Every column the measure reads must be in the table: its signals,
     // and the time axis of the time-domain functions.
@@ -679,6 +668,7 @@ class StepRunner {
     const auto signal = [&](std::size_t index) {
       return col(column_for(m.analysis, signal_at(m, index)));
     };
+    if (m.fn == "value") return table.at(0, table.column_index(signal(0)));
     const bool timed = m.fn == "cross" || m.fn == "delay" ||
                        m.fn == "period" || m.fn == "energy";
     const std::string xcol = col(timed ? "time_s" : x_column(m.analysis));
@@ -720,13 +710,11 @@ class StepRunner {
                                 static_cast<int>(measure_opt(m, "skip", 2)));
     }
     if (m.fn == "energy") {
-      const Signal sig = signal_at(m, 0);
-      if (!sig.current) {
+      if (!signal_at(m, 0).current) {
         throw ParseError(".measure energy wants i(<vsource>)", m.line_no,
                          m.line);
       }
-      return supply_energy(table, col("i(" + sig.name + ")"),
-                           measure_opt_required(m, "vdd"));
+      return supply_energy(table, signal(0), measure_opt_required(m, "vdd"));
     }
     if (m.fn == "find") {
       return value_at(table, xcol, signal(0), measure_opt_required(m, "at"));
@@ -771,8 +759,6 @@ class StepRunner {
   /// Small-signal passes of this point, by the index of their first card.
   std::map<std::size_t, SmallSignalResult> passes_;
   // What the analyses record, for the measures.
-  bool have_op_ = false;
-  Solution op_;
   std::map<std::string, phys::DataTable> tables_;  ///< by analysis kind
   /// The last .ac card's table, which stays in its small-signal pass.
   const phys::DataTable* ac_table_ = nullptr;
@@ -819,7 +805,7 @@ core::Json SimSession::run_deck(const Deck& deck,
   obs::ScopedSpan deck_span("deck");
   bool cache_hit = false;
   CacheEntry& entry = entry_for(deck, &cache_hit);
-  DeckPlan plan(deck, *entry.circuit, opts_.emit_tables && !deck.probe_none);
+  DeckPlan plan(deck, *entry.circuit);
   ++entry.uses;
   plan.solver.cancel = cancel;  // polled by every Newton/transient/AC loop
   SolveRecord record;

@@ -156,21 +156,16 @@ SmallSignalResult small_signal(Circuit& ckt, VSource* ac_input,
   sys.build(ckt, dc_sol.x);
 
   SmallSignalResult res;
-  std::vector<NodeId> probe_ids;
-  std::vector<int> branch_rows;  // 1-based MNA rows of the current probes
+  const ProbeColumns cols(ckt, probes, currents);
   if (ac_input) {
-    std::vector<std::string> cols{"freq_hz"};
-    for (const auto& p : probes) {
-      cols.push_back("mag(" + p + ")");
-      cols.push_back("phase_deg(" + p + ")");
+    std::vector<std::string> names{"freq_hz"};
+    for (std::size_t k = 0; k < cols.labels.size(); ++k) {
+      // A node's .ac columns name it bare: mag(out), but mag(i(v1)).
+      const std::string& s = k < probes.size() ? probes[k] : cols.labels[k];
+      names.push_back("mag(" + s + ")");
+      names.push_back("phase_deg(" + s + ")");
     }
-    for (const VSource* src : currents) {
-      cols.push_back("mag(i(" + src->name() + "))");
-      cols.push_back("phase_deg(i(" + src->name() + "))");
-      branch_rows.push_back(ckt.vsource_branch_index(*src));
-    }
-    res.ac = phys::DataTable(cols);
-    probe_ids = resolve_probes(ckt, probes);
+    res.ac = phys::DataTable(names);
   }
   std::vector<NoiseSource> sources;
   const NoiseContext nctx{&dc_sol.x, opt.temperature_k};
@@ -223,10 +218,7 @@ SmallSignalResult small_signal(Circuit& ckt, VSource* ac_input,
         row.push_back(std::abs(v));
         row.push_back(std::arg(v) * 180.0 / M_PI);
       };
-      for (const NodeId id : probe_ids) {
-        push(id == 0 ? phys::Complex{} : x[id - 1]);
-      }
-      for (const int r : branch_rows) push(x[r - 1]);
+      for (const int r : cols.rows) push(r == 0 ? phys::Complex{} : x[r - 1]);
       res.ac.add_row(row);
     }
     // Integrate: flat extension of the first point down to DC, trapezoid

@@ -230,6 +230,46 @@ TEST(ParserErrors, EveryCardFamilyNamesItsLine) {
   expect_parse_error("r1 a 0 1k extra\n", 1, "expected key=value");
 }
 
+TEST(Deck, ProbeNoiseAndMeasureShareOneSignalGrammar) {
+  const sp::Deck deck = sp::parse_deck(
+      "v1 in 0 1\nr1 in b 1k\nc1 b 0 1p\n.probe v( B ) I(V1) in\n"
+      ".noise v( b ) v1 dec 1 1 10\n"
+      ".measure tran d delay v( In ) b vdd=1 rise\n"
+      ".measure tran e energy I( v1 ) vdd=1\n");
+  ASSERT_EQ(deck.probe_nodes.size(), 2u);
+  EXPECT_EQ(deck.probe_nodes[0].name, "b");
+  EXPECT_EQ(deck.probe_nodes[1].name, "in");
+  ASSERT_EQ(deck.probe_currents.size(), 1u);
+  EXPECT_EQ(deck.probe_currents[0].name, "v1");
+  EXPECT_EQ(deck.analyses.at(0).output, "b");
+  ASSERT_EQ(deck.measures.size(), 2u);
+  const std::vector<sp::Signal>& d = deck.measures[0].signals;
+  ASSERT_EQ(d.size(), 2u);
+  EXPECT_FALSE(d[0].current);
+  EXPECT_EQ(d[0].name, "in");
+  EXPECT_FALSE(d[1].current);
+  EXPECT_EQ(d[1].name, "b");
+  const std::vector<sp::Signal>& e = deck.measures[1].signals;
+  ASSERT_EQ(e.size(), 1u);
+  EXPECT_TRUE(e[0].current);
+  EXPECT_EQ(e[0].name, "v1");
+}
+
+TEST(ParserErrors, MalformedSignalsNameTheirCard) {
+  const std::string circuit = "v1 a 0 1\nr1 a b 1k\nc1 b 0 1p\n";
+  for (const char* sig : {"v(a,b)", "x(b)", "v()", "v(b", "vb)", "i(v1 v2)"}) {
+    SCOPED_TRACE(sig);
+    expect_parse_error(circuit + ".probe " + sig + "\n", 4, ".probe wants");
+    expect_parse_error(circuit + ".measure tran m max " + sig + "\n", 4,
+                       ".measure wants");
+    // An unbalanced bracket swallows the rest of the card into one token.
+    expect_parse_error(circuit + ".noise " + sig + " v1 dec 1 1 10\n", 4,
+                       ".noise");
+  }
+  expect_parse_error(circuit + ".noise i(v1) v1 dec 1 1 10\n", 4,
+                     ".noise output must be v(<node>)");
+}
+
 TEST(ParserErrors, ExpressionErrorsNameTheCardLine) {
   expect_parse_error("r1 a 0 {1k +}\n", 1, "expression", true);
   expect_parse_error("r1 a 0 {nope*2}\n", 1, "nope", true);

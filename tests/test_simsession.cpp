@@ -150,6 +150,17 @@ const MalformedCase kMalformedDecks[] = {
      ".ac dec 10 0 1meg", "fstart < fstop"},
     {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.noise v(b) v1 dec 0 1 1meg\n", 4,
      ".noise v(b) v1 dec 0 1 1meg", "points per decade"},
+    // .ac/.noise grids over the sweep cap: 12e6 points, and one point past
+    // a twin exactly at it.
+    {"v1 a 0 dc 0 ac 1\nr1 a b 1k\nc1 b 0 1n\n.ac dec 1000000 1 1e12\n", 4,
+     ".ac dec 1000000 1 1e12", ".ac sweep over 10000 points",
+     "v1 a 0 dc 0 ac 1\nr1 a b 1k\nc1 b 0 1n\n.ac dec 10 1 1e12\n"},
+    {"v1 a 0 dc 0 ac 1\nr1 a b 1k\nc1 b 0 1n\n.ac dec 10000 1 10\n", 4,
+     ".ac dec 10000 1 10", ".ac sweep over 10000 points",
+     "v1 a 0 dc 0 ac 1\nr1 a b 1k\nc1 b 0 1n\n.ac dec 9999 1 10\n"},
+    {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.noise v(b) v1 dec 1000000 1 1e12\n",
+     4, ".noise v(b) v1 dec 1000000 1 1e12", ".noise sweep over 10000 points",
+     "v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.noise v(b) v1 dec 10 1 1e12\n"},
     // .step and .dc grids whose point count overflows an int, and a
     // .step grid over the cap only as a cartesian product.
     {"v1 a 0 1\nr1 a 0 {r}\n.param r=1\n.step param r 1 1e12 1\n.op\n",
@@ -287,6 +298,41 @@ const MalformedCase kMalformedDecks[] = {
      2, ".model n cnfet(l={len})", ".model option l must be > 0",
      ".param len=20n\n.model n cnfet(l={len})\nv1 d 0 0.5\nmn d d 0 n\n"
      ".step param len list 20n 20n\n.op\n"},
+    // A measure signal outside the grammar .probe and .noise share.
+    {"v1 a 0 1\nr1 a b 1k\nr2 b 0 1k\n.op\n.measure op x value v(a,b)\n", 5,
+     ".measure op x value v(a,b)", "signals, got 'v(a,b)'",
+     "v1 a 0 1\nr1 a b 1k\nr2 b 0 1k\n.op\n.measure op x value v(b)\n"},
+    // .options values no solve can run with, and an unknown key, at their
+    // .options card.  maxiter=1e12 is past int range.
+    {"v1 a 0 1\nr1 a 0 1k\n.options maxiter=1e12\n.op\n", 3,
+     ".options maxiter=1e12", "maxiter must be an integer in 1..1000",
+     "v1 a 0 1\nr1 a 0 1k\n.options maxiter=1000\n.op\n"},
+    {"v1 a 0 1\nr1 a 0 1k\n.options maxiter=0\n.op\n", 3,
+     ".options maxiter=0", "maxiter must be an integer in 1..1000",
+     "v1 a 0 1\nr1 a 0 1k\n.options maxiter=20\n.op\n"},
+    {"v1 a 0 1\nr1 a 0 1k\n.options maxiter=2.5\n.op\n", 3,
+     ".options maxiter=2.5", "maxiter must be an integer in 1..1000",
+     "v1 a 0 1\nr1 a 0 1k\n.options maxiter=25\n.op\n"},
+    {"v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.options temp=-300\n"
+     ".noise v(b) v1 dec 1 1 10\n",
+     4, ".options temp=-300", "temp must be > 0",
+     "v1 a 0 1\nr1 a b 1k\nc1 b 0 1n\n.options temp=300\n"
+     ".noise v(b) v1 dec 1 1 10\n"},
+    {"v1 a 0 1\nr1 a 0 1k\n.options reltol=0\n.op\n", 3, ".options reltol=0",
+     "reltol must be > 0", "v1 a 0 1\nr1 a 0 1k\n.options reltol=1e-6\n.op\n"},
+    {"v1 a 0 1\nr1 a 0 1k\n.options abstol=-1n\n.op\n", 3,
+     ".options abstol=-1n", "abstol must be > 0",
+     "v1 a 0 1\nr1 a 0 1k\n.options abstol=1n\n.op\n"},
+    {"v1 a 0 1\nr1 a 0 1k\n.options vabstol=0\n.op\n", 3,
+     ".options vabstol=0", "vabstol must be > 0",
+     "v1 a 0 1\nr1 a 0 1k\n.options vabstol=1n\n.op\n"},
+    {"v1 a 0 1\nr1 a 0 1k\n.options gmin=-1p\n.op\n", 3, ".options gmin=-1p",
+     "gmin must be >= 0", "v1 a 0 1\nr1 a 0 1k\n.options gmin=0\n.op\n"},
+    {"v1 a 0 1\nr1 a 0 1k\n.options temp=x\n.op\n", 3, ".options temp=x",
+     "not a number", "v1 a 0 1\nr1 a 0 1k\n.options temp=1\n.op\n"},
+    {"v1 a 0 1\nr1 a 0 1k\n.options bogus=1\n.op\n", 3, ".options bogus=1",
+     "unknown .options key 'bogus'",
+     "v1 a 0 1\nr1 a 0 1k\n.options temp=300\n.op\n"},
 };
 
 TEST(SimSession, MalformedDeckYieldsStructuredError) {
@@ -705,6 +751,84 @@ TEST(SimSession, AcTablesKeepCurrentColumns) {
     peak = std::max(peak, mag[i]);
   }
   EXPECT_EQ(step["measures"]["iin"].as_double(), peak) << doc.dump(1);
+}
+
+TEST(SimSession, DcTablesKeepCurrentColumns) {
+  // An Id-Vgs transfer curve: the drain supply's current is a .dc column
+  // like a node voltage, and at vg = 0.6 V it is the .op current of the
+  // same circuit there.
+  const std::string circuit = ".model n cnfet(l=20n)\nvd d 0 0.3\nmn d g 0 n\n";
+  sp::SimSession session;
+  const Json dc = session.run_deck_text(
+      circuit + "vg g 0 0\n.dc vg 0 0.6 0.3\n.probe i(vd)\n"
+                ".measure dc id find i(vd) at=0.6\n");
+  ASSERT_TRUE(dc["ok"].as_bool()) << dc.dump(1);
+  const Json& step = dc["steps"].at(0);
+  const std::vector<double> id =
+      column(step["analyses"].at(0)["table"], "i(vd)");
+  ASSERT_EQ(id.size(), 3u);
+  const double at_06 = step["measures"]["id"].as_double();
+  EXPECT_EQ(at_06, id.back());
+  EXPECT_LT(at_06, -1e-6) << "an on n-FET draws current out of vd";
+
+  const Json op = session.run_deck_text(circuit +
+                                        "vg g 0 0.6\n.op\n.probe i(vd)\n");
+  ASSERT_TRUE(op["ok"].as_bool()) << op.dump(1);
+  const double want =
+      op["steps"].at(0)["analyses"].at(0)["currents"]["i(vd)"].as_double();
+  EXPECT_NEAR(at_06, want, 1e-12 * std::abs(want));
+}
+
+TEST(SimSession, OpDcAndTranRecordTheSameSignals) {
+  // One signal path: the .op solution, a one-point .dc sweep at the
+  // source's own value and the t = 0 operating point of a transient
+  // record the same node voltage and source current.
+  sp::SimSession session;
+  const Json doc = session.run_deck_text(
+      "v1 in 0 1\nr1 in out 1k\nc1 out 0 1n\nd1 out 0\n"
+      ".probe v(out) i(v1)\n.op\n.dc v1 1 1 1\n.tran 1n 10n ic=op\n");
+  ASSERT_TRUE(doc["ok"].as_bool()) << doc.dump(1);
+  const Json& analyses = doc["steps"].at(0)["analyses"];
+  const struct {
+    const char* label;
+    double op;
+  } signals[] = {
+      {"v(out)", analyses.at(0)["voltages"]["v(out)"].as_double()},
+      {"i(v1)", analyses.at(0)["currents"]["i(v1)"].as_double()},
+  };
+  for (const auto& s : signals) {
+    SCOPED_TRACE(s.label);
+    const std::vector<double> dc = column(analyses.at(1)["table"], s.label);
+    const std::vector<double> tran = column(analyses.at(2)["table"], s.label);
+    ASSERT_EQ(dc.size(), 1u);
+    ASSERT_GT(tran.size(), 1u);
+    EXPECT_NEAR(dc[0], s.op, 1e-12 * std::abs(s.op));
+    EXPECT_NEAR(tran[0], s.op, 1e-12 * std::abs(s.op));
+  }
+  // The diode clamps the output well below the 1 V source.
+  EXPECT_GT(signals[0].op, 0.4);
+  EXPECT_LT(signals[0].op, 0.8);
+}
+
+TEST(SimSession, MeasureSignalsShareTheProbeGrammar) {
+  // .probe and .measure read signals alike: inner spaces are no part of
+  // the name, and a current measure reads the .op table's column.
+  sp::SimSession session;
+  const Json doc = session.run_deck_text(
+      "v1 a 0 1\nr1 a b 1k\nr2 b 0 1k\n.op\n.probe v( b )\n"
+      ".measure op vb value v( b )\n.measure op i1 value I( V1 )\n"
+      ".measure op nob value v(nob)\n");
+  ASSERT_TRUE(doc["ok"].as_bool()) << doc.dump(1);
+  const Json& step = doc["steps"].at(0);
+  EXPECT_EQ(step["analyses"].at(0)["voltages"]["v(b)"].as_double(), 0.5);
+  EXPECT_NEAR(step["measures"]["vb"].as_double(), 0.5, 1e-12);
+  EXPECT_NEAR(step["measures"]["i1"].as_double(), -0.5e-3, 1e-15);
+  // A node the circuit lacks reads as a missing column, as on any table.
+  EXPECT_TRUE(step["measures"]["nob"].is_null());
+  EXPECT_NE(step["measure_errors"]["nob"].as_string().find(
+                "the .op table has no column v(nob)"),
+            std::string::npos)
+      << doc.dump(1);
 }
 
 /// examples/decks/cnt_inverter_vtc.cir: a mirrored CNT inverter's VTC at

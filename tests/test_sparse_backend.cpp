@@ -154,7 +154,8 @@ TEST(SparseBackend, InverterVtcSweepMatchesReference) {
   }
   const sp::SolverOptions opts;
   sp::NewtonWorkspace ws;
-  const auto table = sp::dc_sweep(ckt, *bench.vin, sweep, nodes, opts, &ws);
+  const auto table =
+      sp::dc_sweep(ckt, *bench.vin, sweep, nodes, {}, opts, &ws);
   ASSERT_EQ(table.num_rows(), static_cast<int>(sweep.size()));
 
   sp::StampContext dc;

@@ -4,11 +4,11 @@
 Boots the daemon on an ephemeral TCP port with the fault-injection models
 registered, then hammers it from concurrent client threads with the full
 fault mix — good decks (an .ac+.noise deck with a measure over a
-missing column among them), parse errors (overflowing .step/.dc grids,
-out-of-range element values, waveform arguments and .model values among
-them), NaN solve failures, injected hangs under tight deadlines,
-oversized requests and mid-request disconnects — and asserts the
-robustness contract:
+missing column among them), parse errors (overflowing .step/.dc/.ac
+grids, out-of-range element values, waveform arguments, .model values
+and .options values among them), NaN solve failures, injected hangs
+under tight deadlines, oversized requests and mid-request disconnects —
+and asserts the robustness contract:
 
   * every request on a surviving connection yields exactly one JSON
     document (ok, or a structured error of the expected type);
@@ -71,8 +71,14 @@ PULSE_DECK = ("v1 in 0 pulse(0 1 0 0 0 1n 2n)\nr1 in out 1k\nr2 out 0 1k\n"
 # .model values the model constructors refuse: refused before any build.
 CNT_L0_DECK = ".model n cnfet(l=0)\nv1 d 0 0.5\nmn d d 0 n\n.op\n.end\n"
 ALPHA0_DECK = ".model n alphan(alpha=0)\nv1 d 0 1\nmn d d 0 n\n.op\n.end\n"
+# An iteration cap past int range, and a 100-byte deck asking for a
+# 12e6-point frequency grid, which used to be built in full.
+OPTIONS_DECK = "v1 a 0 1\nr1 a 0 1k\n.options maxiter=1e12\n.op\n.end\n"
+AC_GRID_DECK = ("v1 a 0 dc 0 ac 1\nr1 a b 1k\nc1 b 0 1n\n"
+                ".ac dec 1000000 1 1e12\n.end\n")
 PARSE_DECKS = [PARSE_DECK, STEP_DECK, DC_DECK, NEG_R_DECK, INF_DECK,
-               NAN_SOURCE_DECK, PULSE_DECK, CNT_L0_DECK, ALPHA0_DECK]
+               NAN_SOURCE_DECK, PULSE_DECK, CNT_L0_DECK, ALPHA0_DECK,
+               OPTIONS_DECK, AC_GRID_DECK]
 # A CNT NAND2 truth table: ncnt and pcnt share one model-store key for the
 # CNT-FET and one for its table at the deck's span, the only models any
 # deck of the run builds.
@@ -446,10 +452,13 @@ def main():
                     "request after bad_request")
         c.close()
 
-        # Overflowing .step and .dc grids: parse documents, and the daemon
-        # still answers on the same connection.
+        # Overflowing .step, .dc and .ac grids and an iteration cap past
+        # int range: parse documents, and the daemon still answers on the
+        # same connection.
         c = Client(port)
-        for deck, what in ((STEP_DECK, ".step grid"), (DC_DECK, ".dc grid")):
+        for deck, what in ((STEP_DECK, ".step grid"), (DC_DECK, ".dc grid"),
+                           (OPTIONS_DECK, ".options maxiter"),
+                           (AC_GRID_DECK, ".ac grid")):
             expect_type(c.rpc({"type": "run", "deck": deck}), "parse", what)
             expect_type(c.rpc({"type": "health"}), "ok",
                         "health after " + what)
